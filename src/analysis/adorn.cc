@@ -210,7 +210,8 @@ std::string AdornmentAnalysis::ToText(const ApplicationGraph& graph) const {
     if (!node.seeds.empty()) {
       out += "    seeds:";
       for (const AdornSeed& seed : node.seeds) {
-        out += " " + SeedToString(seed);
+        out += ' ';
+        out += SeedToString(seed);
       }
       out += "\n";
     }

@@ -195,16 +195,14 @@ Result<ConstraintBody> DesugarConstraint(const ConstraintDecl& decl,
     case ConstraintDecl::Kind::kForeign: {
       // FOREIGN f OF lhs REFERENCES g OF rhs: deny an lhs tuple whose
       // f-value matches no rhs g-value.
-      AnalysisScope scope;
-      scope.catalog = &catalog;
       DATACON_ASSIGN_OR_RETURN(const Schema* lhs,
-                               RangeSchemaOf(*decl.fk_range(), scope));
+                               RangeSchemaOf(*decl.fk_range(), catalog));
       if (!lhs->FieldIndex(decl.fk_field()).has_value()) {
         return Status::TypeError("foreign field '" + decl.fk_field() +
                                  "' is not a field of the referencing range");
       }
       DATACON_ASSIGN_OR_RETURN(const Schema* rhs,
-                               RangeSchemaOf(*decl.ref_range(), scope));
+                               RangeSchemaOf(*decl.ref_range(), catalog));
       if (!rhs->FieldIndex(decl.ref_field()).has_value()) {
         return Status::TypeError("referenced field '" + decl.ref_field() +
                                  "' is not a field of the referenced range");
@@ -263,29 +261,17 @@ std::vector<Diagnostic> LintConstraint(const ConstraintDecl& decl,
   }
   const ConstraintBody& body = body_or.value();
 
-  AnalysisScope scope;
-  scope.catalog = &catalog;
-  for (const Binding& b : body.bindings) {
-    if (scope.vars.count(b.var) > 0) {
-      out.push_back(MakeDiagnostic(
-          kDiagUnsafeConstraint,
-          "duplicate binding variable '" + b.var + "' in constraint", loc));
-      return out;
-    }
-    Result<const Schema*> schema = RangeSchemaOf(*b.range, scope);
-    if (!schema.ok()) {
-      out.push_back(MakeDiagnostic(kDiagUnsafeConstraint,
-                                   schema.status().message(), loc));
-      return out;
-    }
-    scope.vars[b.var] = schema.value();
-  }
-  // Constraints take no parameters, so an unresolved name inside the
-  // predicate (a free variable or a $-style placeholder) fails right here.
-  Status pred_ok = CheckPred(*body.pred, &scope);
-  if (!pred_ok.ok()) {
+  // The denial's bindings and predicate, checked as a branch with an empty
+  // target list. Constraints take no parameters, so an unresolved name
+  // inside the predicate (a free variable or a $-style placeholder) fails
+  // right here.
+  Status checked =
+      CheckQuery(*build::Union({build::MakeBranch({}, body.bindings,
+                                                  body.pred)}),
+                 catalog, Schema());
+  if (!checked.ok()) {
     out.push_back(
-        MakeDiagnostic(kDiagUnsafeConstraint, pred_ok.message(), loc));
+        MakeDiagnostic(kDiagUnsafeConstraint, checked.message(), loc));
     return out;
   }
 
@@ -379,13 +365,10 @@ ConstraintAnalysis AnalyzeConstraint(const ConstraintDecl& decl,
 
 Result<CalcExprPtr> DenialQuery(const ConstraintBody& body,
                                 const Catalog& catalog) {
-  AnalysisScope scope;
-  scope.catalog = &catalog;
   std::vector<TermPtr> targets;
   for (const Binding& b : body.bindings) {
     DATACON_ASSIGN_OR_RETURN(const Schema* schema,
-                             RangeSchemaOf(*b.range, scope));
-    scope.vars[b.var] = schema;
+                             RangeSchemaOf(*b.range, catalog));
     for (const Field& f : schema->fields()) {
       targets.push_back(build::FieldRef(b.var, f.name));
     }
@@ -445,13 +428,9 @@ Result<ConstraintResidue> BuildResidue(const ConstraintBody& body,
     pred = And(std::move(conjuncts));
   } else {
     pred = SubstituteFieldsDeep(body.pred, subst);
-    AnalysisScope scope;
-    scope.catalog = &catalog;
-    scope.scalar_params.insert(residue.placeholders.begin(),
-                               residue.placeholders.end());
     for (const Binding& b : rest) {
-      DATACON_ASSIGN_OR_RETURN(const Schema* s, RangeSchemaOf(*b.range, scope));
-      scope.vars[b.var] = s;
+      DATACON_ASSIGN_OR_RETURN(const Schema* s,
+                               RangeSchemaOf(*b.range, catalog));
       for (const Field& f : s->fields()) {
         targets.push_back(FieldRef(b.var, f.name));
       }

@@ -21,8 +21,13 @@ struct CodeEntry {
 constexpr std::array<CodeEntry, 30> kCodeTable = {{
     {kDiagParseError, "the source fragment failed to parse"},
     {kDiagUnknownName,
-     "a relation, selector, constructor, or parameter name is not declared"},
-    {kDiagTypeError, "the declaration failed the level-1 type checker"},
+     "a relation, selector, constructor, parameter, tuple variable, or field "
+     "name is not declared"},
+    {kDiagTypeError,
+     "a level-1 structural defect: an argument count or base schema, a "
+     "target-list arity, a non-union-compatible identity branch, a "
+     "duplicate or shadowing variable, duplicate formals, an empty body, or "
+     "a membership-tuple arity"},
     {kDiagNonStratifiable,
      "a constructed range occurs under an odd number of NOTs/ALLs inside its "
      "own recursive component (no stratification can evaluate it)"},

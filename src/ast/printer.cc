@@ -27,8 +27,14 @@ std::string TermToString(const Term& term) {
     }
     case Term::Kind::kArith: {
       const auto& t = static_cast<const ArithTerm&>(term);
-      return "(" + TermToString(*t.lhs()) + " " + ArithOpName(t.op()) + " " +
-             TermToString(*t.rhs()) + ")";
+      std::string out = "(";
+      out += TermToString(*t.lhs());
+      out += ' ';
+      out += ArithOpName(t.op());
+      out += ' ';
+      out += TermToString(*t.rhs());
+      out += ')';
+      return out;
     }
   }
   DATACON_UNREACHABLE("term kind");

@@ -69,9 +69,13 @@ void AppendFieldJson(std::string* out, const EventField& f) {
 std::string EventLog::ToJsonl() const {
   std::string out;
   for (const Event& e : Events()) {
-    out += "{\"seq\":" + std::to_string(e.seq) +
-           ",\"steady_ns\":" + std::to_string(e.steady_ns) +
-           ",\"wall_us\":" + std::to_string(e.wall_us) + ",\"type\":";
+    out += "{\"seq\":";
+    out += std::to_string(e.seq);
+    out += ",\"steady_ns\":";
+    out += std::to_string(e.steady_ns);
+    out += ",\"wall_us\":";
+    out += std::to_string(e.wall_us);
+    out += ",\"type\":";
     AppendJsonEscaped(&out, e.type);
     for (const EventField& f : e.fields) {
       out.push_back(',');
@@ -88,16 +92,24 @@ std::string EventLog::ToText() const {
   if (events.empty() && lost == 0) return "(no events recorded)\n";
   std::string out;
   for (const Event& e : events) {
-    out += "#" + std::to_string(e.seq) + "  " + FormatWallTimeUs(e.wall_us) +
-           "  " + e.type;
+    out += '#';
+    out += std::to_string(e.seq);
+    out += "  ";
+    out += FormatWallTimeUs(e.wall_us);
+    out += "  ";
+    out += e.type;
     for (const EventField& f : e.fields) {
-      out += "  " + f.key + "=";
+      out += "  ";
+      out += f.key;
+      out += '=';
       out += f.is_int ? std::to_string(f.int_value) : f.str_value;
     }
     out += "\n";
   }
   if (lost > 0) {
-    out += "(" + std::to_string(lost) + " older event(s) dropped)\n";
+    out += '(';
+    out += std::to_string(lost);
+    out += " older event(s) dropped)\n";
   }
   return out;
 }

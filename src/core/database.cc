@@ -173,30 +173,23 @@ Status Database::DefineConstructorGroup(
     registered.push_back(decl->name());
   }
   if (status.ok()) {
-    for (const ConstructorDeclPtr& decl : decls) {
-      if (options_.typecheck) {
-        status = CheckConstructorDecl(*decl, catalog_);
-        if (!status.ok()) break;
-      }
-      if (check_positivity) {
+    // One type-checker pass over the group. Per member, its level-1
+    // verdict comes before its positivity test; the remaining inference
+    // errors (E130 conflicts, E131 ill-typed operations, E132 non-binary
+    // capture shapes) reject the group last. Warnings surface through
+    // CHECK/datacon-lint.
+    GroupVerdict verdict;
+    if (options_.typecheck) verdict = CheckConstructorGroup(decls, catalog_);
+    for (size_t i = 0; status.ok() && i < decls.size(); ++i) {
+      if (options_.typecheck) status = verdict.members[i];
+      if (status.ok() && check_positivity) {
         // The strict DBPL rule: reject at definition time (section 3.3).
         // With the stratified extension, negative references are instead
         // validated against the application graph at query compilation.
-        status = CheckPositivity(*decl);
-        if (!status.ok()) break;
+        status = CheckPositivity(*decls[i]);
       }
     }
-  }
-  if (status.ok() && options_.typecheck) {
-    // Whole-program inference over the group: E130 conflicts, E131
-    // ill-typed operations, and E132 non-binary capture shapes reject the
-    // definition outright; warnings surface through CHECK/datacon-lint.
-    for (const Diagnostic& d : TypecheckConstructorGroup(decls, catalog_)) {
-      if (d.severity == Severity::kError) {
-        status = Status::TypeError(d.ToString());
-        break;
-      }
-    }
+    if (status.ok()) status = verdict.inference;
   }
   if (status.ok() && !options_.typecheck) catalog_typed_clean_ = false;
   if (!status.ok()) {
@@ -630,18 +623,36 @@ void Database::FinishEvaluation(const CalcExpr& expr, int64_t elapsed_ns,
   }
 }
 
-Result<Relation> Database::Evaluate(const CalcExprPtr& expr,
-                                    const Schema& schema,
-                                    const Environment& params) {
+template <typename Run>
+Result<Relation> Database::ObservedEvaluation(const CalcExpr& expr,
+                                              const std::string* plan,
+                                              Run run) {
   BeginEvaluation();
   TraceSpan span("evaluate");
+  if (plan != nullptr && span.active()) span.AddArg("plan", *plan);
   if (event_log_.enabled()) {
     event_log_.Emit("query.start",
                     {EventField::Int("eval_index", eval_index_),
-                     EventField::Str("query", ToString(*expr))});
+                     plan != nullptr
+                         ? EventField::Str("plan", *plan)
+                         : EventField::Str("query", ToString(expr))});
   }
   Timer timer;
-  Result<Relation> out = [&]() -> Result<Relation> {
+  Result<Relation> out = run();
+  if (span.active()) {
+    span.AddArg("rounds", static_cast<int64_t>(last_stats_.iterations));
+    span.AddArg("tuples_inserted",
+                static_cast<int64_t>(last_stats_.tuples_inserted));
+    span.AddArg("ok", out.ok() ? int64_t{1} : int64_t{0});
+  }
+  FinishEvaluation(expr, timer.ElapsedNs(), out.ok());
+  return out;
+}
+
+Result<Relation> Database::Evaluate(const CalcExprPtr& expr,
+                                    const Schema& schema,
+                                    const Environment& params) {
+  return ObservedEvaluation(*expr, nullptr, [&]() -> Result<Relation> {
     CalcExprPtr effective = expr;
     if (options_.inline_nonrecursive) {
       DATACON_ASSIGN_OR_RETURN(
@@ -658,15 +669,7 @@ Result<Relation> Database::Evaluate(const CalcExprPtr& expr,
       }
     }
     return EvaluateGeneral(effective, schema, params);
-  }();
-  if (span.active()) {
-    span.AddArg("rounds", static_cast<int64_t>(last_stats_.iterations));
-    span.AddArg("tuples_inserted",
-                static_cast<int64_t>(last_stats_.tuples_inserted));
-    span.AddArg("ok", out.ok() ? int64_t{1} : int64_t{0});
-  }
-  FinishEvaluation(*expr, timer.ElapsedNs(), out.ok());
-  return out;
+  });
 }
 
 Result<Relation> Database::ExecuteSeeded(const CalcExprPtr& expr,
@@ -720,42 +723,26 @@ Result<Relation> Database::ExecuteSeeded(const CalcExprPtr& expr,
   BranchExecStats exec_stats;
   DATACON_RETURN_IF_ERROR(ExecuteBranch(branch, resolved, eval, params, &out,
                                         &exec_stats, options_.eval.exec));
-  last_stats_.tuples_considered = exec_stats.env_count;
-  last_stats_.tuples_inserted = exec_stats.inserted;
-  last_stats_.outer_tuples = exec_stats.outer_tuples;
-  last_stats_.index_builds = exec_stats.index_builds;
-  last_stats_.index_probes = exec_stats.index_probes;
-  last_stats_.snapshot_materializations = exec_stats.snapshots;
-  last_stats_.chunks_dispatched = exec_stats.chunks;
   // Resource attribution: whatever MaterializeAll built, plus the seeded
   // closure itself (the plan's working set) and the branch's index builds.
   last_usage_ = ev.usage();
-  last_usage_.index_builds += exec_stats.index_builds;
   last_usage_.tuples_materialized += closure.size();
   last_usage_.approx_bytes += ApproxRelationBytes(closure);
   if (closure.size() > last_usage_.peak_delta_tuples) {
     last_usage_.peak_delta_tuples = closure.size();
   }
+  std::unique_ptr<ProfileNode> root;
+  ProfileNode* node = nullptr;
   if (options_.eval.profile) {
-    auto root = std::make_unique<ProfileNode>("evaluation");
-    ProfileNode* n = root->AddChild("seeded transitive closure");
-    n->counters().Add("closure_tuples", static_cast<int64_t>(closure.size()));
-    n->counters().Add("tuples_considered",
-                      static_cast<int64_t>(exec_stats.env_count));
-    n->counters().Add("tuples_inserted",
-                      static_cast<int64_t>(exec_stats.inserted));
-    n->counters().Add("outer_scans",
-                      static_cast<int64_t>(exec_stats.outer_tuples));
-    n->counters().Add("index_builds",
-                      static_cast<int64_t>(exec_stats.index_builds));
-    n->counters().Add("index_probes",
-                      static_cast<int64_t>(exec_stats.index_probes));
-    if (exec_stats.snapshots > 0) {
-      n->exec().Add("snapshots", static_cast<int64_t>(exec_stats.snapshots));
-    }
-    if (exec_stats.chunks > 0) {
-      n->exec().Add("chunks", static_cast<int64_t>(exec_stats.chunks));
-    }
+    root = std::make_unique<ProfileNode>("evaluation");
+    node = root->AddChild("seeded transitive closure");
+    node->counters().Add("closure_tuples",
+                         static_cast<int64_t>(closure.size()));
+  }
+  // last_stats_ was reset by BeginEvaluation; the branch is its only work.
+  RecordBranchExec(exec_stats, /*count_inserted=*/true, &last_stats_,
+                   &last_usage_, node);
+  if (root != nullptr) {
     root->set_elapsed_ns(timer.ElapsedNs());
     StoreProfile(std::move(root));
   }
@@ -857,27 +844,11 @@ Result<Relation> PreparedQuery::Execute(
   // The plan was chosen at Prepare time (level 2); Execute runs level 3
   // only — no re-detection, no re-inlining. Observability wraps it the
   // same way Database::Evaluate wraps ad-hoc queries.
-  db_->BeginEvaluation();
-  TraceSpan span("evaluate");
-  if (span.active()) span.AddArg("plan", plan_description_);
-  if (db_->event_log_.enabled()) {
-    db_->event_log_.Emit("query.start",
-                         {EventField::Int("eval_index", db_->eval_index_),
-                          EventField::Str("plan", plan_description_)});
-  }
-  Timer timer;
-  Result<Relation> out =
-      seeded_plan_.has_value()
-          ? db_->ExecuteSeeded(expr_, schema_, env, *seeded_plan_)
-          : db_->EvaluateGeneral(expr_, schema_, env, !cache_bypass_);
-  if (span.active()) {
-    span.AddArg("rounds", static_cast<int64_t>(db_->last_stats_.iterations));
-    span.AddArg("tuples_inserted",
-                static_cast<int64_t>(db_->last_stats_.tuples_inserted));
-    span.AddArg("ok", out.ok() ? int64_t{1} : int64_t{0});
-  }
-  db_->FinishEvaluation(*expr_, timer.ElapsedNs(), out.ok());
-  return out;
+  return db_->ObservedEvaluation(*expr_, &plan_description_, [&] {
+    return seeded_plan_.has_value()
+               ? db_->ExecuteSeeded(expr_, schema_, env, *seeded_plan_)
+               : db_->EvaluateGeneral(expr_, schema_, env, !cache_bypass_);
+  });
 }
 
 Result<std::string> Database::Explain(const RangePtr& range) const {
@@ -981,22 +952,15 @@ Result<std::string> Database::Explain(const RangePtr& range) const {
   }
 
   out += "level 3 (physical branch plans):\n";
-  AnalysisScope scope;
-  scope.catalog = &catalog_;
   for (const ApplicationGraph::Node& node : graph.nodes()) {
     out += "  [" + node.key + "]\n";
     for (const BranchPtr& branch : node.body->branches()) {
       std::vector<BindingSchema> schemas;
-      Status schema_status = Status::OK();
       for (const Binding& b : branch->bindings()) {
-        Result<const Schema*> schema = RangeSchemaOf(*b.range, scope);
-        if (!schema.ok()) {
-          schema_status = schema.status();
-          break;
-        }
-        schemas.push_back(BindingSchema{b.var, schema.value()});
+        DATACON_ASSIGN_OR_RETURN(const Schema* schema,
+                                 RangeSchemaOf(*b.range, catalog_));
+        schemas.push_back(BindingSchema{b.var, schema});
       }
-      if (!schema_status.ok()) return schema_status;
       DATACON_ASSIGN_OR_RETURN(
           std::string plan,
           ExplainBranchPlan(*branch, schemas, options_.eval.exec));

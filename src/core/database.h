@@ -339,6 +339,14 @@ class Database {
   Result<Relation> Evaluate(const CalcExprPtr& expr, const Schema& schema,
                             const Environment& params);
 
+  /// Runs `run` (returning Result<Relation>) as one observed evaluation of
+  /// `expr`: span, query.start event, timer, and FinishEvaluation. `plan`
+  /// names a prepared plan; null for an ad-hoc query (query.start carries
+  /// its text instead).
+  template <typename Run>
+  Result<Relation> ObservedEvaluation(const CalcExpr& expr,
+                                      const std::string* plan, Run run);
+
   /// Starts a new evaluation sequence number and resets last_stats_.
   void BeginEvaluation();
 

@@ -101,18 +101,19 @@ std::string SystemEvaluator::ComponentLabel(
   return label + "]";
 }
 
-void SystemEvaluator::RecordBranchExec(const BranchExecStats& exec,
-                                       bool count_inserted) {
-  stats_.tuples_considered += exec.env_count;
-  if (count_inserted) stats_.tuples_inserted += exec.inserted;
-  stats_.outer_tuples += exec.outer_tuples;
-  stats_.index_builds += exec.index_builds;
-  usage_.index_builds += exec.index_builds;
-  stats_.index_probes += exec.index_probes;
-  stats_.snapshot_materializations += exec.snapshots;
-  stats_.chunks_dispatched += exec.chunks;
-  if (cur_ == nullptr) return;
-  CounterSet& c = cur_->counters();
+void RecordBranchExec(const BranchExecStats& exec, bool count_inserted,
+                      EvalStats* stats, ResourceUsage* usage,
+                      ProfileNode* node) {
+  stats->tuples_considered += exec.env_count;
+  if (count_inserted) stats->tuples_inserted += exec.inserted;
+  stats->outer_tuples += exec.outer_tuples;
+  stats->index_builds += exec.index_builds;
+  usage->index_builds += exec.index_builds;
+  stats->index_probes += exec.index_probes;
+  stats->snapshot_materializations += exec.snapshots;
+  stats->chunks_dispatched += exec.chunks;
+  if (node == nullptr) return;
+  CounterSet& c = node->counters();
   c.Add("tuples_considered", static_cast<int64_t>(exec.env_count));
   if (count_inserted) {
     c.Add("tuples_inserted", static_cast<int64_t>(exec.inserted));
@@ -121,11 +122,16 @@ void SystemEvaluator::RecordBranchExec(const BranchExecStats& exec,
   c.Add("index_builds", static_cast<int64_t>(exec.index_builds));
   c.Add("index_probes", static_cast<int64_t>(exec.index_probes));
   if (exec.snapshots > 0) {
-    cur_->exec().Add("snapshots", static_cast<int64_t>(exec.snapshots));
+    node->exec().Add("snapshots", static_cast<int64_t>(exec.snapshots));
   }
   if (exec.chunks > 0) {
-    cur_->exec().Add("chunks", static_cast<int64_t>(exec.chunks));
+    node->exec().Add("chunks", static_cast<int64_t>(exec.chunks));
   }
+}
+
+void SystemEvaluator::RecordBranchExec(const BranchExecStats& exec,
+                                       bool count_inserted) {
+  datacon::RecordBranchExec(exec, count_inserted, &stats_, &usage_, cur_);
 }
 
 Status SystemEvaluator::InstallNodeRelation(int node,

@@ -137,6 +137,13 @@ struct ResourceUsage {
 /// at every thread count, and independent of allocator behaviour.
 size_t ApproxRelationBytes(const Relation& rel);
 
+/// Folds one branch execution's counters into `stats` and `usage` (index
+/// builds) and, when `node` is non-null, into its profile counters.
+/// `tuples_inserted` is counted only with `count_inserted`.
+void RecordBranchExec(const BranchExecStats& exec, bool count_inserted,
+                      EvalStats* stats, ResourceUsage* usage,
+                      ProfileNode* node);
+
 /// Evaluates an instantiated application system (level 3 of the paper's
 /// framework): components of the application graph are materialized in
 /// dependency order — acyclic components in a single pass, cyclic ones by

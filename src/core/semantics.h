@@ -6,43 +6,24 @@
 
 #include "ast/branch.h"
 #include "ast/decl.h"
-#include "ast/pred.h"
 #include "ast/range.h"
-#include "ast/term.h"
 #include "common/result.h"
 #include "core/catalog.h"
 #include "types/schema.h"
 
 namespace datacon {
 
-/// Name-resolution context for semantic analysis: the catalog plus the
-/// formal relation parameters, scalar parameters, and bound tuple variables
-/// of the construct being checked.
-struct AnalysisScope {
-  const Catalog* catalog = nullptr;
-  /// Formal relation name -> declared relation type name.
-  std::map<std::string, std::string> relation_formals;
-  /// Scalar parameter name -> type.
-  std::map<std::string, ValueType> scalar_params;
-  /// Bound tuple variable -> schema of its range.
-  std::map<std::string, const Schema*> vars;
-};
+/// Level-1 checks (run at definition time, section 4). Each is one run of
+/// the type checker in analysis/typecheck.h and returns its first fatal
+/// finding: E101 as kNotFound, every other code as kTypeError.
 
-/// The schema a range expression denotes under `scope`: the base relation's
-/// schema, checked through each selector application (schema-preserving) and
-/// constructor application (result-type schema). Verifies existence, arity,
-/// and type compatibility of every application.
-Result<const Schema*> RangeSchemaOf(const Range& range,
-                                    const AnalysisScope& scope);
-
-/// The scalar type of `term` under `scope`.
-Result<ValueType> TermTypeOf(const Term& term, const AnalysisScope& scope);
-
-/// Type-checks `pred` under `scope` (quantifiers extend the scope for their
-/// bodies). `scope` is restored on return.
-Status CheckPred(const Pred& pred, AnalysisScope* scope);
-
-/// Level-1 checks (run at definition time, section 4):
+/// The declared schema a range expression denotes over the catalog's
+/// relation variables: the base relation's schema, carried through each
+/// constructor application's result type (selectors preserve it).
+/// Application arguments are not checked — the checks below do that in
+/// context; an unknown relation, relation type, or constructor is
+/// kNotFound.
+Result<const Schema*> RangeSchemaOf(const Range& range, const Catalog& catalog);
 
 /// Checks a selector declaration against the catalog.
 Status CheckSelectorDecl(const SelectorDecl& decl, const Catalog& catalog);

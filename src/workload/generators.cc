@@ -2,6 +2,7 @@
 
 #include <random>
 #include <set>
+#include <utility>
 
 #include "ast/builder.h"
 
@@ -196,7 +197,11 @@ Status SetupCadScene(Database* db, int objects, int infront_edges,
   // Random facts over part names p0..p<objects-1>.
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<int> pick(0, objects - 1);
-  auto part = [](int i) { return Value::String("p" + std::to_string(i)); };
+  auto part = [](int i) {
+    std::string name = "p";
+    name += std::to_string(i);
+    return Value::String(std::move(name));
+  };
   std::set<std::pair<int, int>> seen;
   int attempts = 0;
   while (static_cast<int>(seen.size()) < infront_edges &&

@@ -1,8 +1,21 @@
+// Level-1 definition analysis through its Status API (core/semantics.h):
+// every check the type checker runs at definition time, pinned by
+// StatusCode, plus a table pinning that each level-1 defect is rejected by
+// Database and reported as an error by the script lint's type pass.
+
 #include "core/semantics.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "analysis/script_lint.h"
 #include "ast/builder.h"
+#include "core/database.h"
+#include "lang/interpreter.h"
+#include "lang/parser.h"
 
 namespace datacon {
 namespace {
@@ -43,146 +56,150 @@ class SemanticsTest : public ::testing::Test {
                     .ok());
   }
 
-  AnalysisScope Scope() {
-    AnalysisScope scope;
-    scope.catalog = &catalog_;
-    return scope;
+  /// `{EACH q IN range: pred}`.
+  static CalcExprPtr Over(RangePtr range, PredPtr pred = True()) {
+    return Union({IdentityBranch("q", std::move(range), std::move(pred))});
+  }
+
+  StatusCode QueryCode(const CalcExprPtr& expr) {
+    return InferQuerySchema(*expr, catalog_).status().code();
   }
 
   Catalog catalog_;
 };
 
 TEST_F(SemanticsTest, RangeSchemaOfPlainRelation) {
-  AnalysisScope scope = Scope();
-  Result<const Schema*> schema = RangeSchemaOf(*Rel("Infront"), scope);
+  Result<const Schema*> schema = RangeSchemaOf(*Rel("Infront"), catalog_);
   ASSERT_TRUE(schema.ok());
   EXPECT_EQ(schema.value()->field(0).name, "front");
+  Result<Schema> inferred = InferQuerySchema(*Over(Rel("Infront")), catalog_);
+  ASSERT_TRUE(inferred.ok());
+  EXPECT_EQ(inferred.value().field(0).name, "front");
 }
 
 TEST_F(SemanticsTest, RangeSchemaOfUnknownRelationFails) {
-  AnalysisScope scope = Scope();
-  EXPECT_EQ(RangeSchemaOf(*Rel("Nope"), scope).status().code(),
+  EXPECT_EQ(RangeSchemaOf(*Rel("Nope"), catalog_).status().code(),
             StatusCode::kNotFound);
+  EXPECT_EQ(QueryCode(Over(Rel("Nope"))), StatusCode::kNotFound);
 }
 
 TEST_F(SemanticsTest, RangeSchemaOfFormal) {
-  AnalysisScope scope = Scope();
-  scope.relation_formals["Rel"] = "infrontrel";
-  Result<const Schema*> schema = RangeSchemaOf(*Rel("Rel"), scope);
-  ASSERT_TRUE(schema.ok());
-  EXPECT_EQ(schema.value()->arity(), 2);
+  // The formal `Rel` resolves to its declared type inside a body: both
+  // columns of infrontrel are visible.
+  ConstructorDecl ctor(
+      "c2", FormalRelation{"Rel", "infrontrel"}, {}, {}, "aheadrel",
+      Union({MakeBranch({FieldRef("r", "front"), FieldRef("r", "back")},
+                        {Each("r", Rel("Rel"))}, True())}));
+  EXPECT_TRUE(CheckConstructorDecl(ctor, catalog_).ok());
+  // Outside a body `Rel` names nothing.
+  EXPECT_EQ(QueryCode(Over(Rel("Rel"))), StatusCode::kNotFound);
 }
 
 TEST_F(SemanticsTest, SelectorPreservesSchema) {
-  AnalysisScope scope = Scope();
-  Result<const Schema*> schema = RangeSchemaOf(
-      *Selected(Rel("Infront"), "hidden_by", {Str("table")}), scope);
+  Result<Schema> schema = InferQuerySchema(
+      *Over(Selected(Rel("Infront"), "hidden_by", {Str("table")})), catalog_);
   ASSERT_TRUE(schema.ok());
-  EXPECT_EQ(schema.value()->field(1).name, "back");
+  EXPECT_EQ(schema.value().field(1).name, "back");
 }
 
 TEST_F(SemanticsTest, SelectorArgArityChecked) {
-  AnalysisScope scope = Scope();
-  EXPECT_EQ(RangeSchemaOf(*Selected(Rel("Infront"), "hidden_by", {}), scope)
-                .status()
-                .code(),
+  EXPECT_EQ(QueryCode(Over(Selected(Rel("Infront"), "hidden_by", {}))),
             StatusCode::kTypeError);
 }
 
 TEST_F(SemanticsTest, SelectorArgTypeChecked) {
-  AnalysisScope scope = Scope();
-  EXPECT_EQ(RangeSchemaOf(
-                *Selected(Rel("Infront"), "hidden_by", {Int(3)}), scope)
-                .status()
-                .code(),
+  EXPECT_EQ(QueryCode(Over(Selected(Rel("Infront"), "hidden_by", {Int(3)}))),
             StatusCode::kTypeError);
 }
 
 TEST_F(SemanticsTest, SelectorBaseTypeChecked) {
-  AnalysisScope scope = Scope();
   // hidden_by expects infrontrel fields; Numbers has {n}.
-  EXPECT_EQ(RangeSchemaOf(
-                *Selected(Rel("Numbers"), "hidden_by", {Str("x")}), scope)
-                .status()
-                .code(),
-            StatusCode::kTypeError);
+  EXPECT_EQ(
+      QueryCode(Over(Selected(Rel("Numbers"), "hidden_by", {Str("x")}))),
+      StatusCode::kTypeError);
 }
 
 TEST_F(SemanticsTest, ConstructorChangesSchema) {
-  AnalysisScope scope = Scope();
-  Result<const Schema*> schema =
-      RangeSchemaOf(*Constructed(Rel("Infront"), "ahead"), scope);
+  Result<Schema> schema =
+      InferQuerySchema(*Over(Constructed(Rel("Infront"), "ahead")), catalog_);
   ASSERT_TRUE(schema.ok());
-  EXPECT_EQ(schema.value()->field(0).name, "head");
+  EXPECT_EQ(schema.value().field(0).name, "head");
 }
 
 TEST_F(SemanticsTest, ConstructorBaseTypeChecked) {
-  AnalysisScope scope = Scope();
-  EXPECT_EQ(RangeSchemaOf(*Constructed(Rel("Numbers"), "ahead"), scope)
-                .status()
-                .code(),
+  EXPECT_EQ(QueryCode(Over(Constructed(Rel("Numbers"), "ahead"))),
             StatusCode::kTypeError);
 }
 
 TEST_F(SemanticsTest, ConstructorArgArityChecked) {
-  AnalysisScope scope = Scope();
-  EXPECT_EQ(RangeSchemaOf(
-                *Constructed(Rel("Infront"), "ahead", {Rel("Infront")}),
-                scope)
+  EXPECT_EQ(QueryCode(Over(Constructed(Rel("Infront"), "ahead",
+                                       {Rel("Infront")}))),
+            StatusCode::kTypeError);
+}
+
+TEST_F(SemanticsTest, TermTypes) {
+  auto targets = [](TermPtr t) {
+    return Union({MakeBranch({std::move(t)}, {Each("q", Rel("Infront"))},
+                             True())});
+  };
+  const std::map<std::string, ValueType> obj = {{"Obj", ValueType::kString}};
+  auto type_of = [&](TermPtr t) {
+    Result<Schema> schema = InferQuerySchema(*targets(std::move(t)), catalog_,
+                                             obj);
+    EXPECT_TRUE(schema.ok()) << schema.status().ToString();
+    return schema.ok() ? schema.value().field(0).type : ValueType::kBool;
+  };
+  EXPECT_EQ(type_of(Int(1)), ValueType::kInt);
+  EXPECT_EQ(type_of(Str("x")), ValueType::kString);
+  EXPECT_EQ(type_of(Param("Obj")), ValueType::kString);
+  EXPECT_EQ(type_of(Add(Int(1), Int(2))), ValueType::kInt);
+  EXPECT_EQ(InferQuerySchema(*targets(Param("zz")), catalog_, obj)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(InferQuerySchema(*targets(Add(Str("a"), Int(1))), catalog_, obj)
                 .status()
                 .code(),
             StatusCode::kTypeError);
 }
 
-TEST_F(SemanticsTest, TermTypes) {
-  AnalysisScope scope = Scope();
-  scope.scalar_params["Obj"] = ValueType::kString;
-  EXPECT_EQ(TermTypeOf(*Int(1), scope).value(), ValueType::kInt);
-  EXPECT_EQ(TermTypeOf(*Str("x"), scope).value(), ValueType::kString);
-  EXPECT_EQ(TermTypeOf(*Param("Obj"), scope).value(), ValueType::kString);
-  EXPECT_EQ(TermTypeOf(*Add(Int(1), Int(2)), scope).value(), ValueType::kInt);
-  EXPECT_EQ(TermTypeOf(*Param("zz"), scope).status().code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(TermTypeOf(*Add(Str("a"), Int(1)), scope).status().code(),
+TEST_F(SemanticsTest, CheckPredComparisonTypes) {
+  EXPECT_EQ(QueryCode(Over(Rel("Infront"), Eq(FieldRef("q", "front"),
+                                               Str("x")))),
+            StatusCode::kOk);
+  EXPECT_EQ(QueryCode(Over(Rel("Infront"), Eq(FieldRef("q", "front"),
+                                               Int(1)))),
             StatusCode::kTypeError);
 }
 
-TEST_F(SemanticsTest, CheckPredComparisonTypes) {
-  AnalysisScope scope = Scope();
-  Result<const Schema*> schema = RangeSchemaOf(*Rel("Infront"), scope);
-  scope.vars["r"] = schema.value();
-  PredPtr ok = Eq(FieldRef("r", "front"), Str("x"));
-  EXPECT_TRUE(CheckPred(*ok, &scope).ok());
-  PredPtr bad = Eq(FieldRef("r", "front"), Int(1));
-  EXPECT_EQ(CheckPred(*bad, &scope).code(), StatusCode::kTypeError);
-}
-
 TEST_F(SemanticsTest, CheckPredQuantifierScoping) {
-  AnalysisScope scope = Scope();
   PredPtr p = Some("n", Rel("Numbers"), Eq(FieldRef("n", "n"), Int(1)));
-  EXPECT_TRUE(CheckPred(*p, &scope).ok());
-  // The quantifier variable is gone afterwards.
-  EXPECT_EQ(scope.vars.count("n"), 0u);
+  EXPECT_EQ(QueryCode(Over(Rel("Infront"), p)), StatusCode::kOk);
+  // The quantifier variable is gone outside its body.
+  EXPECT_EQ(QueryCode(Union({MakeBranch({FieldRef("n", "n")},
+                                        {Each("q", Rel("Infront"))}, p)})),
+            StatusCode::kNotFound);
   // Body referencing an unbound variable fails.
   PredPtr bad = Some("n", Rel("Numbers"), Eq(FieldRef("m", "n"), Int(1)));
-  EXPECT_EQ(CheckPred(*bad, &scope).code(), StatusCode::kNotFound);
+  EXPECT_EQ(QueryCode(Over(Rel("Infront"), bad)), StatusCode::kNotFound);
 }
 
 TEST_F(SemanticsTest, CheckPredRejectsShadowing) {
-  AnalysisScope scope = Scope();
-  PredPtr p = Some("n", Rel("Numbers"),
-                   Some("n", Rel("Numbers"), True()));
-  EXPECT_EQ(CheckPred(*p, &scope).code(), StatusCode::kTypeError);
+  PredPtr p = Some("n", Rel("Numbers"), Some("n", Rel("Numbers"), True()));
+  EXPECT_EQ(QueryCode(Over(Rel("Infront"), p)), StatusCode::kTypeError);
+  // A quantifier may not shadow the branch's own binding either.
+  EXPECT_EQ(QueryCode(Over(Rel("Infront"), Some("q", Rel("Numbers"), True()))),
+            StatusCode::kTypeError);
 }
 
 TEST_F(SemanticsTest, CheckPredMembership) {
-  AnalysisScope scope = Scope();
-  PredPtr ok = In({Int(1)}, Rel("Numbers"));
-  EXPECT_TRUE(CheckPred(*ok, &scope).ok());
-  PredPtr arity = In({Int(1), Int(2)}, Rel("Numbers"));
-  EXPECT_EQ(CheckPred(*arity, &scope).code(), StatusCode::kTypeError);
-  PredPtr type = In({Str("x")}, Rel("Numbers"));
-  EXPECT_EQ(CheckPred(*type, &scope).code(), StatusCode::kTypeError);
+  EXPECT_EQ(QueryCode(Over(Rel("Infront"), In({Int(1)}, Rel("Numbers")))),
+            StatusCode::kOk);
+  EXPECT_EQ(
+      QueryCode(Over(Rel("Infront"), In({Int(1), Int(2)}, Rel("Numbers")))),
+      StatusCode::kTypeError);
+  EXPECT_EQ(QueryCode(Over(Rel("Infront"), In({Str("x")}, Rel("Numbers")))),
+            StatusCode::kTypeError);
 }
 
 TEST_F(SemanticsTest, CheckSelectorDecl) {
@@ -308,6 +325,141 @@ TEST_F(SemanticsTest, InferQuerySchemaChecksAllBranches) {
       IdentityBranch("p", Rel("Numbers"), True()),  // arity mismatch
   });
   EXPECT_FALSE(InferQuerySchema(*expr, catalog_).ok());
+}
+
+// --- Level-1 defects: Database and the lint agree ----------------------------
+
+constexpr const char* kPrelude =
+    "TYPE pair = RELATION OF RECORD a, b: INTEGER END;\n"
+    "TYPE one = RELATION OF RECORD n: INTEGER END;\n"
+    "VAR P: pair;\n"
+    "VAR O: one;\n"
+    "SELECTOR pick (k: INTEGER) FOR Rel: pair;\n"
+    "BEGIN EACH r IN Rel: r.a = k END pick;\n"
+    "CONSTRUCTOR swap FOR Rel: pair (): pair;\n"
+    "BEGIN <r.b, r.a> OF EACH r IN Rel: TRUE END swap;\n";
+constexpr int kDefectLine = 9;  // the line after the prelude
+
+struct Defect {
+  const char* what;
+  const char* source;  // one line, defining `bad`
+  StatusCode code;     // Database's rejection
+  const char* lint;    // the lint's error code
+};
+
+constexpr Defect kDefects[] = {
+    {"unknown relation",
+     "CONSTRUCTOR bad FOR Rel: pair (): pair; BEGIN EACH r IN Nope: TRUE "
+     "END bad;",
+     StatusCode::kNotFound, "E101"},
+    {"unknown selector",
+     "CONSTRUCTOR bad FOR Rel: pair (): pair; BEGIN EACH r IN Rel "
+     "[nosel(1)]: TRUE END bad;",
+     StatusCode::kNotFound, "E101"},
+    {"unknown constructor",
+     "CONSTRUCTOR bad FOR Rel: pair (): pair; BEGIN EACH r IN Rel {noctor}: "
+     "TRUE END bad;",
+     StatusCode::kNotFound, "E101"},
+    {"unknown parameter",
+     "CONSTRUCTOR bad FOR Rel: pair (): pair; BEGIN EACH r IN Rel: r.a = zz "
+     "END bad;",
+     StatusCode::kNotFound, "E101"},
+    {"unknown tuple variable",
+     "CONSTRUCTOR bad FOR Rel: pair (): pair; BEGIN EACH r IN Rel: s.a = 1 "
+     "END bad;",
+     StatusCode::kNotFound, "E101"},
+    {"unknown field",
+     "CONSTRUCTOR bad FOR Rel: pair (): pair; BEGIN EACH r IN Rel: r.zz = 1 "
+     "END bad;",
+     StatusCode::kNotFound, "E101"},
+    {"selector arity",
+     "CONSTRUCTOR bad FOR Rel: pair (): pair; BEGIN EACH r IN Rel [pick()]: "
+     "TRUE END bad;",
+     StatusCode::kTypeError, "E102"},
+    {"constructor arity",
+     "CONSTRUCTOR bad FOR Rel: pair (): pair; BEGIN EACH r IN Rel "
+     "{swap(P)}: TRUE END bad;",
+     StatusCode::kTypeError, "E102"},
+    {"selector base schema",
+     "CONSTRUCTOR bad FOR Rel: one (): one; BEGIN EACH r IN Rel [pick(1)]: "
+     "TRUE END bad;",
+     StatusCode::kTypeError, "E102"},
+    {"constructor base schema",
+     "CONSTRUCTOR bad FOR Rel: one (): pair; BEGIN EACH r IN Rel {swap}: "
+     "TRUE END bad;",
+     StatusCode::kTypeError, "E102"},
+    {"target-list arity",
+     "CONSTRUCTOR bad FOR Rel: pair (): pair; BEGIN <r.a> OF EACH r IN Rel: "
+     "TRUE END bad;",
+     StatusCode::kTypeError, "E102"},
+    {"identity branch not union-compatible",
+     "CONSTRUCTOR bad FOR Rel: one (): pair; BEGIN EACH r IN Rel: TRUE END "
+     "bad;",
+     StatusCode::kTypeError, "E102"},
+    {"duplicate variable",
+     "CONSTRUCTOR bad FOR Rel: pair (): pair; BEGIN <r.a, r.b> OF EACH r IN "
+     "Rel, EACH r IN Rel: TRUE END bad;",
+     StatusCode::kTypeError, "E102"},
+    {"shadowing variable",
+     "CONSTRUCTOR bad FOR Rel: pair (): pair; BEGIN EACH r IN Rel: SOME r IN "
+     "Rel (r.a = 1) END bad;",
+     StatusCode::kTypeError, "E102"},
+    {"duplicate formals",
+     "CONSTRUCTOR bad FOR Rel: pair (k: INTEGER; k: INTEGER): pair; BEGIN "
+     "EACH r IN Rel: r.a = k END bad;",
+     StatusCode::kTypeError, "E102"},
+    {"membership arity",
+     "CONSTRUCTOR bad FOR Rel: pair (): pair; BEGIN EACH r IN Rel: <r.a> IN "
+     "P END bad;",
+     StatusCode::kTypeError, "E102"},
+};
+
+bool LintReportsError(const Script& script, const std::string& code,
+                      int line) {
+  LintOptions options;
+  options.types = true;
+  LintReport report = LintScript(script, options);
+  return std::any_of(report.diagnostics.begin(), report.diagnostics.end(),
+                     [&](const Diagnostic& d) {
+                       return d.severity == Severity::kError &&
+                              d.code == code && d.loc.line == line;
+                     });
+}
+
+TEST(Level1Defects, DatabaseRejectsAndLintReports) {
+  for (const Defect& defect : kDefects) {
+    Database db;
+    Interpreter interp(&db);
+    ASSERT_TRUE(interp.Execute(kPrelude).ok()) << defect.what;
+    Status s = interp.Execute(defect.source);
+    EXPECT_EQ(s.code(), defect.code) << defect.what << ": " << s.ToString();
+    EXPECT_EQ(db.catalog().constructors().count("bad"), 0u) << defect.what;
+
+    Result<Script> script =
+        ParseScript(std::string(kPrelude) + defect.source + "\n");
+    ASSERT_TRUE(script.ok()) << defect.what << ": "
+                             << script.status().ToString();
+    EXPECT_TRUE(LintReportsError(script.value(), defect.lint, kDefectLine))
+        << defect.what;
+  }
+}
+
+TEST(Level1Defects, EmptyBody) {
+  // The grammar cannot express an empty body; build it.
+  const SourceLoc loc{kDefectLine, 1};
+  auto decl = std::make_shared<ConstructorDecl>(
+      "bad", FormalRelation{"Rel", "pair"}, std::vector<FormalRelation>{},
+      std::vector<FormalScalar>{}, "pair", Union({}), loc);
+  Database db;
+  Interpreter interp(&db);
+  ASSERT_TRUE(interp.Execute(kPrelude).ok());
+  EXPECT_EQ(db.DefineConstructor(decl).code(), StatusCode::kTypeError);
+
+  Result<Script> script = ParseScript(kPrelude);
+  ASSERT_TRUE(script.ok());
+  Script with_decl = std::move(script).value();
+  with_decl.stmts.push_back(ConstructorStmt{decl});
+  EXPECT_TRUE(LintReportsError(with_decl, "E102", kDefectLine));
 }
 
 }  // namespace

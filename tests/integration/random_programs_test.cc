@@ -45,7 +45,8 @@ Status DefineRandomSystem(Database* db, int k, std::mt19937_64* rng) {
     branches.push_back(IdentityBranch("r", Rel("Rel"), True()));
     int extra = pick_branches(*rng);
     for (int b = 0; b < extra; ++b) {
-      std::string other = "c" + std::to_string(pick_ctor(*rng));
+      std::string other = "c";
+      other += std::to_string(pick_ctor(*rng));
       // Join field orientation: f.<jf> = q.<jq>.
       std::string jf = pick_bool(*rng) ? "src" : "dst";
       std::string jq = pick_bool(*rng) ? "src" : "dst";
@@ -88,7 +89,9 @@ TEST_P(RandomProgramTest, AllEnginesAgree) {
   };
 
   for (int target = 0; target < k; ++target) {
-    RangePtr range = Constructed(Rel("E"), "c" + std::to_string(target));
+    std::string ctor = "c";
+    ctor += std::to_string(target);
+    RangePtr range = Constructed(Rel("E"), ctor);
     std::optional<Relation> reference;
     for (const Config& config : configs) {
       std::mt19937_64 fresh(static_cast<uint64_t>(GetParam()));

@@ -112,9 +112,10 @@ TEST(Robustness, WideUnionQuery) {
   ASSERT_TRUE(workload::SetupClosure(&db, "g", workload::Chain(6)).ok());
   std::vector<BranchPtr> branches;
   for (int i = 0; i < 100; ++i) {
-    branches.push_back(IdentityBranch(
-        "r" + std::to_string(i), Rel("g_E"),
-        Eq(FieldRef("r" + std::to_string(i), "src"), Int(i % 6))));
+    std::string var = "r";
+    var += std::to_string(i);
+    branches.push_back(IdentityBranch(var, Rel("g_E"),
+                                      Eq(FieldRef(var, "src"), Int(i % 6))));
   }
   Result<Relation> r = db.EvalQuery(Union(std::move(branches)));
   ASSERT_TRUE(r.ok());
