@@ -48,7 +48,7 @@ Status DefineTower(Database* db, int max_k) {
 void BM_BoundedUnrolling(benchmark::State& state) {
   const int n = 48;  // chain length (diameter 47)
   const int k = static_cast<int>(state.range(0));
-  DatabaseOptions options;
+  DatabaseOptions options = bench::ColdOptions();
   options.use_capture_rules = false;
   options.inline_nonrecursive = false;  // measure the materializing form
   Database db(options);
@@ -66,7 +66,7 @@ void BM_BoundedUnrolling(benchmark::State& state) {
 
 void BM_RecursiveFixpoint(benchmark::State& state) {
   const int n = 48;
-  DatabaseOptions options;
+  DatabaseOptions options = bench::ColdOptions();
   options.use_capture_rules = false;
   Database db(options);
   Must(workload::SetupClosure(&db, "g", workload::Chain(n)));
@@ -83,7 +83,7 @@ void BM_RecursiveFixpoint(benchmark::State& state) {
 // and competitive; the fixpoint stops by itself at the data's depth.
 void BM_BoundedOnShallowData(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
-  DatabaseOptions options;
+  DatabaseOptions options = bench::ColdOptions();
   options.use_capture_rules = false;
   options.inline_nonrecursive = false;
   Database db(options);
@@ -96,7 +96,7 @@ void BM_BoundedOnShallowData(benchmark::State& state) {
 }
 
 void BM_FixpointOnShallowData(benchmark::State& state) {
-  DatabaseOptions options;
+  DatabaseOptions options = bench::ColdOptions();
   options.use_capture_rules = false;
   Database db(options);
   Must(workload::SetupClosure(&db, "g", workload::KaryTree(5, 2)));
@@ -106,10 +106,20 @@ void BM_FixpointOnShallowData(benchmark::State& state) {
   }
 }
 
-BENCHMARK(BM_BoundedUnrolling)->Arg(2)->Arg(8)->Arg(16)->Arg(32)->Arg(48)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RecursiveFixpoint)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BoundedOnShallowData)->Arg(2)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FixpointOnShallowData)->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_BoundedUnrolling)
+    ->Arg(2)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(48)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_RecursiveFixpoint)->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_BoundedOnShallowData)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(6)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_FixpointOnShallowData)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace datacon

@@ -44,7 +44,7 @@ workload::EdgeList MakeGraph(Shape shape, int n) {
 void RunClosure(benchmark::State& state, Shape shape,
                 FixpointStrategy strategy, bool capture) {
   const int n = static_cast<int>(state.range(0));
-  DatabaseOptions options;
+  DatabaseOptions options = bench::ColdOptions();
   options.eval.strategy = strategy;
   options.use_capture_rules = capture;
   Database db(options);
@@ -91,15 +91,52 @@ void BM_Random_Capture(benchmark::State& state) {
   RunClosure(state, Shape::kRandom, FixpointStrategy::kSemiNaive, true);
 }
 
-BENCHMARK(BM_Chain_Naive)->Arg(32)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Chain_SemiNaive)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Chain_Capture)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Tree_Naive)->Arg(63)->Arg(255)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Tree_SemiNaive)->Arg(63)->Arg(255)->Arg(1023)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Tree_Capture)->Arg(63)->Arg(255)->Arg(1023)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Random_Naive)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Random_SemiNaive)->Arg(64)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Random_Capture)->Arg(64)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Chain_Naive)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(128)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Chain_SemiNaive)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Chain_Capture)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->Arg(512)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Tree_Naive)
+    ->Arg(63)
+    ->Arg(255)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Tree_SemiNaive)
+    ->Arg(63)
+    ->Arg(255)
+    ->Arg(1023)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Tree_Capture)
+    ->Arg(63)
+    ->Arg(255)
+    ->Arg(1023)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Random_Naive)
+    ->Arg(64)
+    ->Arg(128)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Random_SemiNaive)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Random_Capture)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
 // Same-generation: recursive but NOT closure-shaped — the capture rule
 // cannot fire, so this isolates the generic engines on a harder recursion.
@@ -131,7 +168,7 @@ Status SetupSameGeneration(Database* db, const workload::EdgeList& tree) {
 
 void RunSameGeneration(benchmark::State& state, FixpointStrategy strategy) {
   const int depth = static_cast<int>(state.range(0));
-  DatabaseOptions options;
+  DatabaseOptions options = bench::ColdOptions();
   options.eval.strategy = strategy;
   Database db(options);
   Must(SetupSameGeneration(&db, workload::KaryTree(depth, 2)));
@@ -151,15 +188,22 @@ void BM_SameGen_SemiNaive(benchmark::State& state) {
   RunSameGeneration(state, FixpointStrategy::kSemiNaive);
 }
 
-BENCHMARK(BM_SameGen_Naive)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SameGen_SemiNaive)->Arg(4)->Arg(6)->Arg(8)->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_SameGen_Naive)
+    ->Arg(4)
+    ->Arg(6)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_SameGen_SemiNaive)
+    ->Arg(4)
+    ->Arg(6)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
 
 // Ablation: the hash-join acceleration inside branch execution (a DESIGN.md
 // design choice) against pure filtered nested loops.
 void BM_Ablation_HashJoins(benchmark::State& state) {
   const bool hash_joins = state.range(0) != 0;
   const int n = static_cast<int>(state.range(1));
-  DatabaseOptions options;
+  DatabaseOptions options = bench::ColdOptions();
   options.use_capture_rules = false;
   options.eval.exec.use_hash_joins = hash_joins;
   Database db(options);
@@ -170,7 +214,7 @@ void BM_Ablation_HashJoins(benchmark::State& state) {
   }
 }
 
-BENCHMARK(BM_Ablation_HashJoins)
+DATACON_BENCHMARK_COLD(BM_Ablation_HashJoins)
     ->Args({1, 32})
     ->Args({0, 32})
     ->Args({1, 64})

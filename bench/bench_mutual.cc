@@ -25,7 +25,7 @@ using bench::MustValue;
 
 void RunMutual(benchmark::State& state, FixpointStrategy strategy) {
   const int objects = static_cast<int>(state.range(0));
-  DatabaseOptions options;
+  DatabaseOptions options = bench::ColdOptions();
   options.eval.strategy = strategy;
   options.use_capture_rules = false;
   Database db(options);
@@ -50,8 +50,17 @@ void BM_Mutual_SemiNaive(benchmark::State& state) {
   RunMutual(state, FixpointStrategy::kSemiNaive);
 }
 
-BENCHMARK(BM_Mutual_Naive)->Arg(20)->Arg(40)->Arg(80)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Mutual_SemiNaive)->Arg(20)->Arg(40)->Arg(80)->Arg(160)->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Mutual_Naive)
+    ->Arg(20)
+    ->Arg(40)
+    ->Arg(80)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Mutual_SemiNaive)
+    ->Arg(20)
+    ->Arg(40)
+    ->Arg(80)
+    ->Arg(160)
+    ->Unit(benchmark::kMillisecond);
 
 // The mutual system against a hand-merged single constructor computing the
 // same `ahead` relation over the union graph — the rewriting the section
@@ -59,7 +68,7 @@ BENCHMARK(BM_Mutual_SemiNaive)->Arg(20)->Arg(40)->Arg(80)->Arg(160)->Unit(benchm
 // point operator"). Measures the overhead of keeping the system factored.
 void BM_Mutual_MergedSingleConstructor(benchmark::State& state) {
   const int objects = static_cast<int>(state.range(0));
-  DatabaseOptions options;
+  DatabaseOptions options = bench::ColdOptions();
   options.use_capture_rules = false;
   Database db(options);
   Must(workload::SetupCadScene(&db, objects, (objects * 13) / 10,
@@ -110,7 +119,7 @@ void BM_Mutual_MergedSingleConstructor(benchmark::State& state) {
   }
 }
 
-BENCHMARK(BM_Mutual_MergedSingleConstructor)
+DATACON_BENCHMARK_COLD(BM_Mutual_MergedSingleConstructor)
     ->Arg(20)
     ->Arg(40)
     ->Arg(80)

@@ -25,7 +25,7 @@ using bench::MustValue;
 
 void RunClosure(benchmark::State& state, const workload::EdgeList& g) {
   const size_t threads = static_cast<size_t>(state.range(0));
-  DatabaseOptions options;
+  DatabaseOptions options = bench::ColdOptions();
   options.use_capture_rules = false;  // isolate the generic engine
   options.eval.exec.num_threads = threads;
   Database db(options);
@@ -82,7 +82,7 @@ Status SetupSameGeneration(Database* db, const workload::EdgeList& tree) {
 
 void BM_Parallel_SameGeneration(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
-  DatabaseOptions options;
+  DatabaseOptions options = bench::ColdOptions();
   options.eval.exec.num_threads = threads;
   Database db(options);
   Must(SetupSameGeneration(&db, workload::KaryTree(/*depth=*/10, 2)));
@@ -96,16 +96,16 @@ void BM_Parallel_SameGeneration(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(threads);
 }
 
-BENCHMARK(BM_Parallel_ChainClosure)
+DATACON_BENCHMARK_COLD(BM_Parallel_ChainClosure)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Parallel_RandomClosure)
+DATACON_BENCHMARK_COLD(BM_Parallel_RandomClosure)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Parallel_WideRandomClosure)
+DATACON_BENCHMARK_COLD(BM_Parallel_WideRandomClosure)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Parallel_SameGeneration)
+DATACON_BENCHMARK_COLD(BM_Parallel_SameGeneration)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 

@@ -43,7 +43,7 @@ workload::EdgeList MakeGraph(Shape shape, int n) {
 
 void RunPushdown(benchmark::State& state, Shape shape, bool pushdown) {
   const int n = static_cast<int>(state.range(0));
-  DatabaseOptions options;
+  DatabaseOptions options = bench::ColdOptions();
   options.use_capture_rules = pushdown;
   Database db(options);
   workload::EdgeList g = MakeGraph(shape, n);
@@ -82,19 +82,42 @@ void BM_Random_SeededPushdown(benchmark::State& state) {
   RunPushdown(state, Shape::kRandom, true);
 }
 
-BENCHMARK(BM_Chain_FullThenFilter)->Arg(64)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Chain_SeededPushdown)->Arg(64)->Arg(128)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Dag_FullThenFilter)->Arg(128)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Dag_SeededPushdown)->Arg(128)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Random_FullThenFilter)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Random_SeededPushdown)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Chain_FullThenFilter)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Chain_SeededPushdown)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Dag_FullThenFilter)
+    ->Arg(128)
+    ->Arg(256)
+    ->Arg(512)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Dag_SeededPushdown)
+    ->Arg(128)
+    ->Arg(256)
+    ->Arg(512)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Random_FullThenFilter)
+    ->Arg(64)
+    ->Arg(128)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Random_SeededPushdown)
+    ->Arg(64)
+    ->Arg(128)
+    ->Unit(benchmark::kMillisecond);
 
 // Selectivity sweep: the query binds one of `k` distinct sources on a
 // layered DAG; the narrower the slice, the bigger the pushdown win.
 void BM_SelectivitySweep(benchmark::State& state) {
   const bool pushdown = state.range(0) != 0;
   const int width = static_cast<int>(state.range(1));
-  DatabaseOptions options;
+  DatabaseOptions options = bench::ColdOptions();
   options.use_capture_rules = pushdown;
   Database db(options);
   workload::EdgeList g = workload::LayeredDag(10, width, 2, 7);
@@ -107,7 +130,7 @@ void BM_SelectivitySweep(benchmark::State& state) {
   }
 }
 
-BENCHMARK(BM_SelectivitySweep)
+DATACON_BENCHMARK_COLD(BM_SelectivitySweep)
     ->Args({0, 8})
     ->Args({1, 8})
     ->Args({0, 32})

@@ -50,7 +50,7 @@ CalcExprPtr BoundClosureQuery(int seed) {
 void RunBoundClosure(benchmark::State& state, const workload::EdgeList& g,
                      int seed) {
   const bool specialize = state.range(0) != 0;
-  DatabaseOptions options;
+  DatabaseOptions options = bench::ColdOptions();
   options.use_capture_rules = false;  // isolate the generic engine
   options.specialize = specialize;
   Database db(options);
@@ -91,16 +91,16 @@ void BM_Specialize_CycleWorstCase(benchmark::State& state) {
   RunBoundClosure(state, workload::Cycle(300), /*seed=*/0);
 }
 
-BENCHMARK(BM_Specialize_DisjointChains)
+DATACON_BENCHMARK_COLD(BM_Specialize_DisjointChains)
     ->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Specialize_LayeredDag)
+DATACON_BENCHMARK_COLD(BM_Specialize_LayeredDag)
     ->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Specialize_RandomDigraph)
+DATACON_BENCHMARK_COLD(BM_Specialize_RandomDigraph)
     ->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Specialize_CycleWorstCase)
+DATACON_BENCHMARK_COLD(BM_Specialize_CycleWorstCase)
     ->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 

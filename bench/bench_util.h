@@ -15,6 +15,7 @@
 #include "common/metrics.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "core/database.h"
 
 namespace datacon::bench {
 
@@ -29,6 +30,19 @@ T MustValue(Result<T> result) {
   DATACON_CHECK(result.ok(), result.status().ToString());
   return std::move(result).value();
 }
+
+/// Options for a bench that re-evaluates on one database: the
+/// materialization cache is off, so every iteration measures a cold
+/// evaluation instead of replaying the first one from the cache. Such
+/// benches register with DATACON_BENCHMARK_COLD.
+inline DatabaseOptions ColdOptions() {
+  DatabaseOptions options;
+  options.cache = false;
+  return options;
+}
+
+/// Registers `fn` under the name `fn/cold` (its regime; see ColdOptions).
+#define DATACON_BENCHMARK_COLD(fn) BENCHMARK(fn)->Name(#fn "/cold")
 
 /// Splices `"datacon_metrics":{...}` (the process-level aggregate —
 /// query latency percentiles, fixpoint rounds, ... merged from every

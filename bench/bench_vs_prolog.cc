@@ -48,7 +48,7 @@ workload::EdgeList MakeGraph(Shape shape, int n) {
 
 void RunBottomUp(benchmark::State& state, Shape shape) {
   const int n = static_cast<int>(state.range(0));
-  DatabaseOptions options;
+  DatabaseOptions options = bench::ColdOptions();
   options.use_capture_rules = false;
   Database db(options);
   Must(workload::SetupClosure(&db, "g", MakeGraph(shape, n)));
@@ -63,7 +63,7 @@ void RunBottomUp(benchmark::State& state, Shape shape) {
 
 void RunTopDown(benchmark::State& state, Shape shape) {
   const int n = static_cast<int>(state.range(0));
-  Database db;
+  Database db(bench::ColdOptions());
   Must(workload::SetupClosure(&db, "g", MakeGraph(shape, n)));
   RangePtr range = Constructed(Rel("g_E"), "g_tc");
   SldOptions options;
@@ -82,7 +82,7 @@ void RunTopDown(benchmark::State& state, Shape shape) {
 
 void RunTopDownSingleSource(benchmark::State& state, Shape shape) {
   const int n = static_cast<int>(state.range(0));
-  Database db;
+  Database db(bench::ColdOptions());
   Must(workload::SetupClosure(&db, "g", MakeGraph(shape, n)));
   RangePtr range = Constructed(Rel("g_E"), "g_tc");
   SldOptions options;
@@ -97,7 +97,8 @@ void RunTopDownSingleSource(benchmark::State& state, Shape shape) {
 
 void RunBottomUpSingleSource(benchmark::State& state, Shape shape) {
   const int n = static_cast<int>(state.range(0));
-  Database db;  // capture rules ON: the seeded-closure plan
+  // Capture rules ON: the seeded-closure plan.
+  Database db(bench::ColdOptions());
   Must(workload::SetupClosure(&db, "g", MakeGraph(shape, n)));
   CalcExprPtr query = Union({IdentityBranch(
       "r", Constructed(Rel("g_E"), "g_tc"),
@@ -132,14 +133,40 @@ void BM_Chain_SingleSource_BottomUpSeeded(benchmark::State& state) {
   RunBottomUpSingleSource(state, Shape::kChain);
 }
 
-BENCHMARK(BM_Chain_BottomUp)->Arg(16)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Chain_TopDownTabled)->Arg(16)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Tree_BottomUp)->Arg(63)->Arg(127)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Tree_TopDownTabled)->Arg(63)->Arg(127)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Random_BottomUp)->Arg(16)->Arg(24)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Random_TopDownTabled)->Arg(16)->Arg(24)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Chain_SingleSource_TopDown)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Chain_SingleSource_BottomUpSeeded)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Chain_BottomUp)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Chain_TopDownTabled)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Tree_BottomUp)
+    ->Arg(63)
+    ->Arg(127)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Tree_TopDownTabled)
+    ->Arg(63)
+    ->Arg(127)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Random_BottomUp)
+    ->Arg(16)
+    ->Arg(24)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Random_TopDownTabled)
+    ->Arg(16)
+    ->Arg(24)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Chain_SingleSource_TopDown)
+    ->Arg(64)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
+DATACON_BENCHMARK_COLD(BM_Chain_SingleSource_BottomUpSeeded)
+    ->Arg(64)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace datacon

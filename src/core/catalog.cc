@@ -25,7 +25,10 @@ Status Catalog::CreateRelation(const std::string& name,
     return Status::AlreadyExists("relation '" + name + "'");
   }
   DATACON_ASSIGN_OR_RETURN(const Schema* schema, LookupRelationType(type_name));
-  relations_.emplace(name, std::make_unique<Relation>(*schema));
+  // Relation variables are what the materialization cache and constraint
+  // residues observe by name, so they are the relations that log inserts.
+  relations_.emplace(
+      name, std::make_unique<Relation>(*schema, Relation::InsertLog::kOn));
   relation_var_types_.emplace(name, type_name);
   return Status::OK();
 }

@@ -33,7 +33,8 @@ class Catalog {
 
   // --- Relation variables ---
 
-  /// Declares `VAR name: type_name` and creates empty storage for it.
+  /// Declares `VAR name: type_name` and creates empty storage for it, with
+  /// the insert log on (storage/relation.h InsertLog).
   Status CreateRelation(const std::string& name, const std::string& type_name);
   Result<Relation*> LookupRelation(const std::string& name);
   Result<const Relation*> LookupRelation(const std::string& name) const;

@@ -354,6 +354,29 @@ Result<const Relation*> SystemEvaluator::NodeRelation(int node) const {
   return totals_[static_cast<size_t>(node)].get();
 }
 
+std::optional<int> SystemEvaluator::HandOffNode(
+    const CalcExpr& expr, const Schema& result_schema) const {
+  if (plan_ != nullptr || expr.branches().size() != 1) return std::nullopt;
+  const Branch& branch = *expr.branches()[0];
+  if (branch.targets().has_value() || branch.bindings().size() != 1 ||
+      branch.pred()->kind() != Pred::Kind::kBool ||
+      !static_cast<const BoolPred&>(*branch.pred()).value()) {
+    return std::nullopt;
+  }
+  RangeSplit split = SplitAtLastConstructor(*branch.bindings()[0].range);
+  if (!split.ctor_head.has_value() || !split.trailing_selectors.empty()) {
+    return std::nullopt;
+  }
+  Result<int> node = graph_->FindNode(**split.ctor_head);
+  if (!node.ok()) return std::nullopt;
+  const std::shared_ptr<Relation>& total =
+      totals_[static_cast<size_t>(node.value())];
+  if (total == nullptr || !(total->schema() == result_schema)) {
+    return std::nullopt;
+  }
+  return node.value();
+}
+
 Result<Relation> SystemEvaluator::EvaluateExpr(const CalcExpr& expr,
                                                const Schema& result_schema) {
   Relation out(result_schema);
@@ -365,9 +388,25 @@ Result<Relation> SystemEvaluator::EvaluateExpr(const CalcExpr& expr,
   }
   TraceSpan span("query branches");
   Status status = Status::OK();
-  for (const BranchPtr& branch : expr.branches()) {
-    status = EvaluateBranch(*branch, &out);
-    if (!status.ok()) break;
+  if (std::optional<int> node = HandOffNode(expr, result_schema)) {
+    // The identity branch would re-insert every tuple of the node into an
+    // equal schema — it can neither fail nor change the set. Hand the set
+    // over and record the counters that execution would have produced.
+    std::shared_ptr<Relation>& total = totals_[static_cast<size_t>(*node)];
+    if (total.use_count() == 1) {
+      out = std::move(*total);
+      total = nullptr;
+    } else {
+      out = *total;
+    }
+    BranchExecStats exec;
+    exec.env_count = exec.outer_tuples = exec.inserted = out.size();
+    RecordBranchExec(exec, /*count_inserted=*/true);
+  } else {
+    for (const BranchPtr& branch : expr.branches()) {
+      status = EvaluateBranch(*branch, &out);
+      if (!status.ok()) break;
+    }
   }
   if (span.active()) {
     span.AddArg("result_tuples", static_cast<int64_t>(out.size()));
@@ -581,8 +620,8 @@ Status SystemEvaluator::SemiNaiveFixpoint(const std::vector<int>& component) {
       auto raw = std::make_unique<Relation>(
           graph_->nodes()[static_cast<size_t>(n)].result_schema);
       DATACON_RETURN_IF_ERROR(EvaluateNodeBody(n, raw.get()));
-      DATACON_RETURN_IF_ERROR(
-          totals_[static_cast<size_t>(n)]->InsertAll(*raw));
+      // T := f(∅): the total starts as a whole-set copy of the seed delta.
+      *totals_[static_cast<size_t>(n)] = *raw;
       NotePeakDelta(raw->size());
       deltas[n] = std::move(raw);
     }
@@ -736,30 +775,11 @@ Status SystemEvaluator::DifferentialRounds(
       }
     }
 
-    // new_delta = raw - total; then fold the deltas into the totals.
     bool grew = false;
     for (int n : component) {
-      auto new_delta = std::make_unique<Relation>(
-          graph_->nodes()[static_cast<size_t>(n)].result_schema);
-      for (const Tuple& t : raws[n]->tuples()) {
-        if (!totals_[static_cast<size_t>(n)]->Contains(t)) {
-          DATACON_ASSIGN_OR_RETURN(bool inserted,
-                                   InsertDerived(new_delta.get(), t));
-          (void)inserted;
-        }
-      }
-      if (!new_delta->empty()) {
-        grew = true;
-        DATACON_RETURN_IF_ERROR(
-            totals_[static_cast<size_t>(n)]->InsertAll(*new_delta));
-        stats_.tuples_inserted += new_delta->size();
-        if (cur_ != nullptr && cur_ != comp_node) {
-          cur_->counters().Add("tuples_inserted",
-                               static_cast<int64_t>(new_delta->size()));
-        }
-      }
-      NotePeakDelta(new_delta->size());
-      deltas[n] = std::move(new_delta);
+      DATACON_ASSIGN_OR_RETURN(deltas[n],
+                               FoldDelta(n, std::move(raws[n]), comp_node));
+      if (!deltas[n]->empty()) grew = true;
     }
     if (comp_node != nullptr) {
       for (int n : component) {
@@ -785,6 +805,22 @@ Status SystemEvaluator::DifferentialRounds(
     cur_ = comp_node;
   }
   return Status::OK();
+}
+
+Result<std::unique_ptr<Relation>> SystemEvaluator::FoldDelta(
+    int node, std::unique_ptr<Relation> raw, const ProfileNode* comp_node) {
+  Relation* total = totals_[static_cast<size_t>(node)].get();
+  raw->Subtract(*total);
+  if (!raw->empty()) {
+    DATACON_RETURN_IF_ERROR(total->InsertAll(*raw));
+    stats_.tuples_inserted += raw->size();
+    if (cur_ != nullptr && cur_ != comp_node) {
+      cur_->counters().Add("tuples_inserted",
+                           static_cast<int64_t>(raw->size()));
+    }
+  }
+  NotePeakDelta(raw->size());
+  return raw;
 }
 
 std::optional<SystemEvaluator::ComponentCacheKey> SystemEvaluator::CacheKeyFor(
@@ -1068,26 +1104,8 @@ Status SystemEvaluator::MaintainComponent(const std::vector<int>& component,
     }
 
     for (int n : component) {
-      auto new_delta = std::make_unique<Relation>(
-          graph_->nodes()[static_cast<size_t>(n)].result_schema);
-      for (const Tuple& t : raws[n]->tuples()) {
-        if (!totals_[static_cast<size_t>(n)]->Contains(t)) {
-          DATACON_ASSIGN_OR_RETURN(bool inserted,
-                                   InsertDerived(new_delta.get(), t));
-          (void)inserted;
-        }
-      }
-      if (!new_delta->empty()) {
-        DATACON_RETURN_IF_ERROR(
-            totals_[static_cast<size_t>(n)]->InsertAll(*new_delta));
-        stats_.tuples_inserted += new_delta->size();
-        if (cur_ != nullptr && cur_ != comp_node) {
-          cur_->counters().Add("tuples_inserted",
-                               static_cast<int64_t>(new_delta->size()));
-        }
-      }
-      NotePeakDelta(new_delta->size());
-      deltas[n] = std::move(new_delta);
+      DATACON_ASSIGN_OR_RETURN(deltas[n],
+                               FoldDelta(n, std::move(raws[n]), comp_node));
     }
     ++stats_.iterations;
     if (comp_node != nullptr) {

@@ -169,7 +169,8 @@ class SystemEvaluator : public RelationResolver {
   /// Same, sharing an externally cached materialization without copying.
   /// The relation is treated as immutable — the evaluator reads it but
   /// never mutates it (the cache may hand the same object to later
-  /// evaluations).
+  /// evaluations). Once the evaluator holds the only reference, the
+  /// relation is its own, and EvaluateExpr may hand it off by move.
   Status InstallNodeRelation(int node, std::shared_ptr<const Relation> rel);
 
   /// Enables the materialization cache: MaterializeAll consults `cache`
@@ -201,6 +202,16 @@ class SystemEvaluator : public RelationResolver {
 
   /// Evaluates a query expression against the materialized system into a
   /// fresh relation over `result_schema`.
+  ///
+  /// A query that is a single identity branch over one materialized
+  /// application (`EACH q IN R {c}: TRUE`, no targets, no trailing
+  /// selectors, no active specialization plan, `result_schema` equal to the
+  /// node's) hands the node's relation over instead of re-inserting every
+  /// tuple: by move when the evaluator is its only owner (the node is then
+  /// no longer materialized), by a whole-set copy when the cache shares it.
+  /// The branch's counters are recorded as its execution would have
+  /// reported them, so EvalStats and the profile are unchanged; only the
+  /// execution-detail fan-out counters stay 0.
   Result<Relation> EvaluateExpr(const CalcExpr& expr,
                                 const Schema& result_schema);
 
@@ -277,6 +288,18 @@ class SystemEvaluator : public RelationResolver {
                             const std::vector<BranchInfo>& infos,
                             std::map<int, std::unique_ptr<Relation>>* deltas,
                             ProfileNode* comp_node, size_t* round);
+
+  /// Turns a round's raw output of `node` into its new delta — raw minus
+  /// the current total, computed in place so no tuple is copied — folds the
+  /// delta into the total, and counts the insertions.
+  Result<std::unique_ptr<Relation>> FoldDelta(int node,
+                                              std::unique_ptr<Relation> raw,
+                                              const ProfileNode* comp_node);
+
+  /// The application node whose relation `expr` returns unchanged (see
+  /// EvaluateExpr), or nullopt.
+  std::optional<int> HandOffNode(const CalcExpr& expr,
+                                 const Schema& result_schema) const;
 
   /// Applies the trailing selector applications of `range` (if any) on top
   /// of `base`, materializing intermediates into scratch_.

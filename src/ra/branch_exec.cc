@@ -135,9 +135,9 @@ struct BranchPipeline {
       } else {
         result = *env.Lookup((*bindings)[0].var)->tuple;
       }
-      DATACON_ASSIGN_OR_RETURN(bool grew, eval.typed_proven()
-                                              ? out->InsertProven(result)
-                                              : out->Insert(result));
+      DATACON_ASSIGN_OR_RETURN(
+          bool grew, eval.typed_proven() ? out->InsertProven(std::move(result))
+                                         : out->Insert(std::move(result)));
       if (grew) ++stats->inserted;
       return Status::OK();
     }

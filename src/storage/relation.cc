@@ -6,7 +6,8 @@
 
 namespace datacon {
 
-Relation::Relation(Schema schema) : schema_(std::move(schema)) {
+Relation::Relation(Schema schema, InsertLog log)
+    : schema_(std::move(schema)), log_inserts_(log == InsertLog::kOn) {
   enforce_key_ = !schema_.KeyIsAllAttributes();
   if (enforce_key_) key_positions_ = schema_.EffectiveKey();
 }
@@ -41,7 +42,10 @@ void Relation::NoteStructuralChange() {
 
 std::optional<std::vector<Tuple>> Relation::InsertedSince(
     uint64_t since) const {
-  if (since > generation_ || since < log_base_) return std::nullopt;
+  if (since == generation_) return std::vector<Tuple>();
+  if (!log_inserts_ || since > generation_ || since < log_base_) {
+    return std::nullopt;
+  }
   return std::vector<Tuple>(
       insert_log_.begin() + static_cast<ptrdiff_t>(since - log_base_),
       insert_log_.end());
@@ -69,15 +73,32 @@ Result<bool> Relation::Insert(const Tuple& t) {
   return InsertValidated(t);
 }
 
+Result<bool> Relation::Insert(Tuple&& t) {
+  DATACON_RETURN_IF_ERROR(ValidateTuple(t));
+  return InsertValidated(std::move(t));
+}
+
 Result<bool> Relation::InsertProven(const Tuple& t) {
   DATACON_DCHECK(ValidateTuple(t).ok(),
                  "typed-proven insert violates the relation schema");
   return InsertValidated(t);
 }
 
-Result<bool> Relation::InsertValidated(const Tuple& t) {
-  if (tuples_.count(t) > 0) return false;
-  if (enforce_key_) {
+Result<bool> Relation::InsertProven(Tuple&& t) {
+  DATACON_DCHECK(ValidateTuple(t).ok(),
+                 "typed-proven insert violates the relation schema");
+  return InsertValidated(std::move(t));
+}
+
+template <typename T>
+Result<bool> Relation::InsertValidated(T&& t) {
+  const Tuple* stored = nullptr;
+  if (!enforce_key_) {
+    auto [it, fresh] = tuples_.insert(std::forward<T>(t));
+    if (!fresh) return false;
+    stored = &*it;
+  } else {
+    if (tuples_.count(t) > 0) return false;
     Tuple key = t.Project(key_positions_);
     auto it = key_to_tuple_.find(key);
     if (it != key_to_tuple_.end()) {
@@ -89,16 +110,17 @@ Result<bool> Relation::InsertValidated(const Tuple& t) {
                                   "; cannot insert " + t.ToString());
     }
     key_to_tuple_.emplace(std::move(key), t);
+    stored = &*tuples_.insert(std::forward<T>(t)).first;
   }
-  tuples_.insert(t);
   ++generation_;
+  if (!log_inserts_) return true;
   if (insert_log_.size() >= kMaxInsertLog) {
     // Log overflow: delta reconstruction for observers older than this
     // point degrades to "not reconstructible".
     insert_log_.clear();
     log_base_ = generation_;
   } else {
-    insert_log_.push_back(t);
+    insert_log_.push_back(*stored);
   }
   return true;
 }
@@ -109,35 +131,53 @@ Status Relation::InsertAll(const Relation& other) {
                              schema_.ToString() + " vs " +
                              other.schema_.ToString());
   }
-  // Validate the whole batch before applying any of it, so a failing batch
-  // leaves the relation unchanged (the atomicity half of the section 2.2
-  // assignment semantics).
-  std::unordered_map<Tuple, const Tuple*, TupleHash> staged_keys;
-  for (const Tuple& t : other.tuples_) {
-    DATACON_RETURN_IF_ERROR(ValidateTuple(t));
-    if (tuples_.count(t) > 0) continue;
-    if (!enforce_key_) continue;
-    Tuple key = t.Project(key_positions_);
-    auto stored = key_to_tuple_.find(key);
-    if (stored != key_to_tuple_.end()) {
-      return Status::KeyViolation("key " + key.ToString() +
-                                  " already identifies " +
-                                  stored->second.ToString() +
-                                  "; cannot insert " + t.ToString());
-    }
-    auto [staged, fresh] = staged_keys.try_emplace(std::move(key), &t);
-    if (!fresh) {
-      return Status::KeyViolation("key " + staged->first.ToString() +
-                                  " identifies both " +
-                                  staged->second->ToString() + " and " +
-                                  t.ToString() + " within one batch");
+  // Check the whole batch's keys before applying any of it, so a failing
+  // batch leaves the relation unchanged (the atomicity half of the section
+  // 2.2 assignment semantics). Under set semantics nothing can fail.
+  if (enforce_key_) {
+    std::unordered_map<Tuple, const Tuple*, TupleHash> staged_keys;
+    for (const Tuple& t : other.tuples_) {
+      if (tuples_.count(t) > 0) continue;
+      Tuple key = t.Project(key_positions_);
+      auto stored = key_to_tuple_.find(key);
+      if (stored != key_to_tuple_.end()) {
+        return Status::KeyViolation("key " + key.ToString() +
+                                    " already identifies " +
+                                    stored->second.ToString() +
+                                    "; cannot insert " + t.ToString());
+      }
+      auto [staged, fresh] = staged_keys.try_emplace(std::move(key), &t);
+      if (!fresh) {
+        return Status::KeyViolation("key " + staged->first.ToString() +
+                                    " identifies both " +
+                                    staged->second->ToString() + " and " +
+                                    t.ToString() + " within one batch");
+      }
     }
   }
+  // Stored tuples match their schema, and union compatibility makes that
+  // schema's field types ours: no per-tuple type check is needed.
   for (const Tuple& t : other.tuples_) {
-    Result<bool> grew = Insert(t);
-    DATACON_CHECK(grew.ok(), "validated batch insert failed");
+    DATACON_DCHECK(ValidateTuple(t).ok(),
+                   "stored tuple violates its relation schema");
+    Result<bool> grew = InsertValidated(t);
+    DATACON_CHECK(grew.ok(), "key-checked batch insert failed");
   }
   return Status::OK();
+}
+
+void Relation::Subtract(const Relation& other) {
+  bool removed = false;
+  for (auto it = tuples_.begin(); it != tuples_.end();) {
+    if (other.tuples_.count(*it) == 0) {
+      ++it;
+      continue;
+    }
+    if (enforce_key_) key_to_tuple_.erase(it->Project(key_positions_));
+    it = tuples_.erase(it);
+    removed = true;
+  }
+  if (removed) NoteStructuralChange();
 }
 
 bool Relation::Erase(const Tuple& t) {

@@ -29,11 +29,18 @@ namespace datacon {
 /// derived relations produced by constructors).
 class Relation {
  public:
+  /// Whether a relation keeps the bounded insert log behind InsertedSince.
+  /// Only catalog relation variables log (Catalog::CreateRelation): the
+  /// materialization cache and constraint residues observe them by name.
+  /// Engine-owned relations (scratch, deltas, totals, query results) never
+  /// do, so derived tuples are not copied into a log nobody reads.
+  enum class InsertLog { kOff, kOn };
+
   /// An empty relation over an empty schema.
   Relation() = default;
 
   /// An empty relation over `schema`.
-  explicit Relation(Schema schema);
+  explicit Relation(Schema schema, InsertLog log = InsertLog::kOff);
 
   Relation(const Relation&) = default;
   Relation(Relation&&) = default;
@@ -41,8 +48,9 @@ class Relation {
   /// Assignment replaces the *contents* of an existing relation variable,
   /// not its identity: the target's generation keeps counting up (it never
   /// adopts the source's, which would let a stale observer see an equal
-  /// generation across a wholesale content swap), and the insert log is
-  /// discarded — a bulk replacement is structural churn, like Clear.
+  /// generation across a wholesale content swap), the target keeps its own
+  /// InsertLog setting, and the insert log is discarded — a bulk
+  /// replacement is structural churn, like Clear.
   Relation& operator=(const Relation& other);
   Relation& operator=(Relation&& other) noexcept;
 
@@ -60,9 +68,10 @@ class Relation {
 
   /// The tuples inserted since the relation was at generation `since`, in
   /// insertion order, or nullopt when that history is not reconstructible —
-  /// an Erase/Clear/assignment intervened, the bounded insert log
-  /// overflowed, or `since` predates this object's history. An engaged
-  /// empty vector means "nothing changed".
+  /// the relation keeps no insert log, an Erase/Clear/assignment
+  /// intervened, the bounded insert log overflowed, or `since` predates
+  /// this object's history. An engaged empty vector means "nothing
+  /// changed" (always answerable for the current generation).
   std::optional<std::vector<Tuple>> InsertedSince(uint64_t since) const;
 
   /// Insert-log bound: one delta entry per grown insert is retained, up to
@@ -84,6 +93,8 @@ class Relation {
   /// kKeyViolation when `t` collides with a differing tuple on the key.
   /// Returns true when the relation grew, false when `t` was present.
   Result<bool> Insert(const Tuple& t);
+  /// Same, moving `t` into the relation when it grows.
+  Result<bool> Insert(Tuple&& t);
 
   /// Insert for tuples whose types are statically discharged: the caller
   /// holds a whole-program proof (analysis/typecheck.h) that `t` matches
@@ -91,13 +102,21 @@ class Relation {
   /// debug assertion. Key enforcement still runs — key facts are data,
   /// not types.
   Result<bool> InsertProven(const Tuple& t);
+  Result<bool> InsertProven(Tuple&& t);
 
   /// Inserts every tuple of `other` (union-compatible schema required).
-  /// Atomic: the whole batch is validated (arity, field types, key
-  /// constraint — both against stored tuples and between distinct new
-  /// tuples of the batch) before anything is applied, so a failing
-  /// InsertAll leaves the relation unchanged.
+  /// Atomic: the key constraint is checked — both against stored tuples and
+  /// between distinct new tuples of the batch — before anything is applied,
+  /// so a failing InsertAll leaves the relation unchanged. Arity and field
+  /// types are not re-checked per tuple: every stored tuple matches its
+  /// relation's schema (it was validated on the way in), and union
+  /// compatibility makes `other`'s field types this schema's.
   Status InsertAll(const Relation& other);
+
+  /// Removes every tuple that `other` also stores (set difference in
+  /// place). The fixpoint turns a round's raw output into the new delta
+  /// this way, without copying a tuple.
+  void Subtract(const Relation& other);
 
   /// Removes `t`; returns true when something was removed.
   bool Erase(const Tuple& t);
@@ -121,8 +140,11 @@ class Relation {
   /// tuples (the per-tuple half of Insert, without mutating).
   Status ValidateTuple(const Tuple& t) const;
 
-  /// The mutation half of Insert/InsertProven, after validation.
-  Result<bool> InsertValidated(const Tuple& t);
+  /// The mutation half of Insert/InsertProven, after validation. Set
+  /// semantics hash and probe once (a try-insert); a proper key checks the
+  /// key index before the tuple goes in.
+  template <typename T>
+  Result<bool> InsertValidated(T&& t);
 
   /// Records a tuple-set change that is not a pure insert: the insert log
   /// can no longer reconstruct deltas, so it restarts at the new
@@ -138,6 +160,7 @@ class Relation {
   std::vector<int> key_positions_;
 
   uint64_t generation_ = 0;
+  bool log_inserts_ = false;
   /// Tuples for generations log_base_+1 .. log_base_+insert_log_.size(), in
   /// order; insert-only histories keep log_base_ + insert_log_.size() ==
   /// generation_.

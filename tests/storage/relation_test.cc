@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "ast/builder.h"
+#include "core/database.h"
+
 namespace datacon {
 namespace {
 
@@ -200,7 +205,7 @@ TEST(Relation, GenerationCountsStructuralChanges) {
 }
 
 TEST(Relation, InsertedSinceReplaysInsertOnlyChurn) {
-  Relation r(SetSchema());
+  Relation r(SetSchema(), Relation::InsertLog::kOn);
   ASSERT_TRUE(r.Insert(Tuple({Value::Int(1), Value::Int(2)})).ok());
   const uint64_t mark = r.generation();
   ASSERT_TRUE(r.Insert(Tuple({Value::Int(3), Value::Int(4)})).ok());
@@ -255,7 +260,7 @@ TEST(Relation, AssignmentKeepsGenerationMonotonic) {
 }
 
 TEST(Relation, InsertLogOverflowDegradesGracefully) {
-  Relation r(SetSchema());
+  Relation r(SetSchema(), Relation::InsertLog::kOn);
   ASSERT_TRUE(r.Insert(Tuple({Value::Int(-1), Value::Int(0)})).ok());
   const uint64_t mark = r.generation();
   const int n = static_cast<int>(Relation::kMaxInsertLog) + 1;
@@ -270,6 +275,147 @@ TEST(Relation, InsertLogOverflowDegradesGracefully) {
   std::optional<std::vector<Tuple>> delta = r.InsertedSince(late);
   ASSERT_TRUE(delta.has_value());
   EXPECT_EQ(delta->size(), 1u);
+}
+
+TEST(Relation, DefaultRelationKeepsNoInsertLog) {
+  // Engine-owned relations (scratch, deltas, totals, results) do not log:
+  // an older generation is unanswerable, the current one is exact.
+  Relation r(SetSchema());
+  ASSERT_TRUE(r.Insert(Tuple({Value::Int(1), Value::Int(2)})).ok());
+  const uint64_t mark = r.generation();
+  ASSERT_TRUE(r.Insert(Tuple({Value::Int(3), Value::Int(4)})).ok());
+  EXPECT_FALSE(r.InsertedSince(mark).has_value());
+  EXPECT_FALSE(r.InsertedSince(0).has_value());
+  std::optional<std::vector<Tuple>> now = r.InsertedSince(r.generation());
+  ASSERT_TRUE(now.has_value());
+  EXPECT_TRUE(now->empty());
+}
+
+/// One two-int relation variable `E` in a fresh database.
+std::unique_ptr<Database> EdgeDb() {
+  auto db = std::make_unique<Database>();
+  EXPECT_TRUE(db->DefineRelationType("edge", SetSchema()).ok());
+  EXPECT_TRUE(db->CreateRelation("E", "edge").ok());
+  return db;
+}
+
+/// True when catalog relation `name` replays one insert made after a mark.
+bool ReplaysNextInsert(Database* db, const std::string& name, int64_t v) {
+  Relation* rel = db->GetMutableRelation(name).value();
+  const uint64_t mark = rel->generation();
+  EXPECT_TRUE(rel->Insert(Tuple({Value::Int(v), Value::Int(v)})).ok());
+  std::optional<std::vector<Tuple>> delta = rel->InsertedSince(mark);
+  return delta.has_value() && delta->size() == 1 &&
+         (*delta)[0] == Tuple({Value::Int(v), Value::Int(v)});
+}
+
+TEST(Relation, CatalogRelationLogsThroughMutableAccess) {
+  std::unique_ptr<Database> db = EdgeDb();
+  const uint64_t mark = db->GetRelation("E").value()->generation();
+  ASSERT_TRUE(db->Insert("E", Tuple({Value::Int(1), Value::Int(2)})).ok());
+  std::optional<std::vector<Tuple>> delta =
+      db->GetRelation("E").value()->InsertedSince(mark);
+  ASSERT_TRUE(delta.has_value());
+  EXPECT_EQ(delta->size(), 1u);
+  EXPECT_TRUE(ReplaysNextInsert(db.get(), "E", 7));
+}
+
+TEST(Relation, CatalogRelationKeepsLoggingAfterAssign) {
+  std::unique_ptr<Database> db = EdgeDb();
+  Relation value(SetSchema());  // a non-logging source
+  ASSERT_TRUE(value.Insert(Tuple({Value::Int(1), Value::Int(2)})).ok());
+  const uint64_t before = db->GetRelation("E").value()->generation();
+  ASSERT_TRUE(db->Assign("E", value).ok());
+  // The wholesale replacement itself is not replayable...
+  EXPECT_FALSE(db->GetRelation("E").value()->InsertedSince(before).has_value());
+  // ...but the variable keeps its log for the inserts that follow.
+  EXPECT_TRUE(ReplaysNextInsert(db.get(), "E", 8));
+}
+
+TEST(Relation, CatalogRelationKeepsLoggingAfterConstraintRollback) {
+  std::unique_ptr<Database> db = EdgeDb();
+  ASSERT_TRUE(db->DefineConstraint(std::make_shared<const ConstraintDecl>(
+                                       "no_loop",
+                                       std::vector<Binding>{build::Each(
+                                           "p", build::Rel("E"))},
+                                       build::Eq(build::FieldRef("p", "a"),
+                                                 build::FieldRef("p", "b"))))
+                  .ok());
+  ASSERT_TRUE(db->Insert("E", Tuple({Value::Int(1), Value::Int(2)})).ok());
+  // Rejected insert: rolled back by Erase.
+  EXPECT_EQ(db->Insert("E", Tuple({Value::Int(3), Value::Int(3)})).code(),
+            StatusCode::kConstraintViolation);
+  // Rejected assignment: rolled back by assigning the saved value back.
+  Relation bad(SetSchema());
+  ASSERT_TRUE(bad.Insert(Tuple({Value::Int(4), Value::Int(4)})).ok());
+  EXPECT_EQ(db->Assign("E", bad).code(), StatusCode::kConstraintViolation);
+  EXPECT_EQ(db->GetRelation("E").value()->size(), 1u);
+
+  Relation* rel = db->GetMutableRelation("E").value();
+  const uint64_t mark = rel->generation();
+  ASSERT_TRUE(db->Insert("E", Tuple({Value::Int(5), Value::Int(6)})).ok());
+  std::optional<std::vector<Tuple>> delta = rel->InsertedSince(mark);
+  ASSERT_TRUE(delta.has_value());
+  ASSERT_EQ(delta->size(), 1u);
+  EXPECT_EQ((*delta)[0], Tuple({Value::Int(5), Value::Int(6)}));
+}
+
+TEST(Relation, InsertAllSameTypesStillEnforcesKeys) {
+  // Identical schemas take InsertAll's no-revalidation path; the key is
+  // still checked against stored tuples and within the batch, atomically.
+  Relation r(KeyedSchema());
+  ASSERT_TRUE(r.Insert(Tuple({Value::String("vase"), Value::Int(3)})).ok());
+  const uint64_t generation = r.generation();
+
+  Relation against_stored(KeyedSchema());
+  ASSERT_TRUE(
+      against_stored.Insert(Tuple({Value::String("cup"), Value::Int(1)})).ok());
+  ASSERT_TRUE(
+      against_stored.Insert(Tuple({Value::String("vase"), Value::Int(9)}))
+          .ok());
+  EXPECT_EQ(r.InsertAll(against_stored).code(), StatusCode::kKeyViolation);
+
+  // A keyed batch cannot hold two tuples with one key, so the within-batch
+  // conflict comes from a set-semantics batch of identical field types.
+  Relation within_batch(Schema(
+      {{"part", ValueType::kString}, {"weight", ValueType::kInt}}));
+  ASSERT_TRUE(
+      within_batch.Insert(Tuple({Value::String("cup"), Value::Int(1)})).ok());
+  ASSERT_TRUE(
+      within_batch.Insert(Tuple({Value::String("cup"), Value::Int(2)})).ok());
+  EXPECT_EQ(r.InsertAll(within_batch).code(), StatusCode::kKeyViolation);
+
+  EXPECT_EQ(r.size(), 1u);
+  EXPECT_EQ(r.generation(), generation);
+  EXPECT_EQ(r.SortedTuples(), std::vector<Tuple>({Tuple(
+                                 {Value::String("vase"), Value::Int(3)})}));
+
+  // A clean same-type batch goes in whole.
+  Relation clean(KeyedSchema());
+  ASSERT_TRUE(clean.Insert(Tuple({Value::String("cup"), Value::Int(1)})).ok());
+  ASSERT_TRUE(clean.Insert(Tuple({Value::String("vase"), Value::Int(3)})).ok());
+  ASSERT_TRUE(r.InsertAll(clean).ok());
+  EXPECT_EQ(r.size(), 2u);
+}
+
+TEST(Relation, SubtractRemovesSharedTuplesAndFreesKeys) {
+  Relation r(KeyedSchema());
+  ASSERT_TRUE(r.Insert(Tuple({Value::String("a"), Value::Int(1)})).ok());
+  ASSERT_TRUE(r.Insert(Tuple({Value::String("b"), Value::Int(2)})).ok());
+  Relation other(KeyedSchema());
+  ASSERT_TRUE(other.Insert(Tuple({Value::String("a"), Value::Int(1)})).ok());
+  const uint64_t generation = r.generation();
+  r.Subtract(other);
+  EXPECT_EQ(r.SortedTuples(),
+            std::vector<Tuple>({Tuple({Value::String("b"), Value::Int(2)})}));
+  EXPECT_GT(r.generation(), generation);
+  // The removed tuple's key is free again.
+  EXPECT_TRUE(r.Insert(Tuple({Value::String("a"), Value::Int(5)})).ok());
+  // Subtracting nothing shared is a no-op.
+  const uint64_t after = r.generation();
+  r.Subtract(other);
+  EXPECT_EQ(r.generation(), after);
+  EXPECT_EQ(r.size(), 2u);
 }
 
 TEST(Relation, CopySemantics) {
