@@ -80,7 +80,7 @@ void RunBoundedPaths(benchmark::State& state, const workload::EdgeList& g,
   state.counters["edges"] = static_cast<double>(g.edges.size());
   state.counters["rows"] = static_cast<double>(rows);
   state.counters["typecheck"] = typecheck ? 1.0 : 0.0;
-  state.counters["typed_proven"] = db.last_typed_proven() ? 1.0 : 0.0;
+  state.counters["typed_proven"] = db.last_record().typed_proven ? 1.0 : 0.0;
 }
 
 /// The dispatch elision in isolation: the step branch's predicate and

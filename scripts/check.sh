@@ -46,7 +46,8 @@ echo "== trace: end-to-end trace-out + events-out + metrics-out =="
 # promises: per-round fixpoint spans and parallel chunk fan-out on
 # distinct worker tracks. The same run exercises the telemetry plane:
 # --events-out leaves a structured JSONL event stream and --metrics-out a
-# Prometheus exposition of the database's registry, both validated below.
+# Prometheus exposition of the database's registry, both validated below,
+# separately and against each other.
 {
   echo "PRAGMA THREADS = 4;"
   echo "PRAGMA EVENTS = ON;"
@@ -73,6 +74,9 @@ python3 scripts/check_trace.py trace.json \
   --require-span fanout --require-span chunk
 python3 scripts/check_trace.py --events events.jsonl
 python3 scripts/check_trace.py --prom metrics.prom
+# The three artifacts render the same per-query records: each query.finish
+# equals its evaluate span, and the rounds histogram equals the events.
+python3 scripts/check_trace.py --agree trace.json events.jsonl metrics.prom
 
 echo "== thread-safety: clang annotation analysis =="
 # Clang's -Wthread-safety checks the GUARDED_BY/REQUIRES annotations

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validates the observability artifacts the REPL can emit.
 
-Three modes, selectable by leading flag (default: Chrome trace):
+Four modes, selectable by leading flag (default: Chrome trace):
 
   check_trace.py trace.json [--require-span NAME]...
       Chrome trace-event JSON from --trace-out: parses, has the
@@ -18,6 +18,14 @@ Three modes, selectable by leading flag (default: Chrome trace):
       is `name[{labels}] value` with a datacon_-prefixed metric name,
       every metric has a preceding # TYPE, histogram buckets are
       cumulative (monotone in le) and agree with _count at +Inf.
+
+  check_trace.py --agree trace.json events.jsonl metrics.prom
+      The three artifacts of one session render the same per-query
+      records: every query.finish event matches the `evaluate` span with
+      the same eval_index on every count they share, and — when no event
+      was dropped — datacon_query_fixpoint_rounds_sum/_count equal the
+      sum of the query.finish `rounds` fields and their number. Expects
+      events recorded for the whole session (REPL --events-out).
 
 Exits 0 on success, 1 with a diagnostic otherwise.
 """
@@ -216,6 +224,76 @@ def check_prometheus(path):
     return 0
 
 
+def _load_jsonl(path):
+    with open(path, "r", encoding="utf-8") as f:
+        return [json.loads(line) for line in f.read().splitlines()]
+
+
+def check_agree(trace_path, events_path, prom_path):
+    """query.finish vs evaluate spans vs the query.* histograms."""
+    try:
+        with open(trace_path, "rb") as f:
+            trace = json.load(f)
+        events = _load_jsonl(events_path)
+        with open(prom_path, "r", encoding="utf-8") as f:
+            prom = f.read().splitlines()
+    except (OSError, ValueError) as e:
+        return fail(f"--agree: {e}")
+
+    spans = {}
+    for event in trace.get("traceEvents", []):
+        if event.get("ph") == "X" and event.get("name") == "evaluate":
+            args = event.get("args", {})
+            if "eval_index" not in args:
+                return fail(f"{trace_path}: evaluate span lacks eval_index")
+            spans[args["eval_index"]] = args
+    finishes = [e for e in events if e.get("type") == "query.finish"]
+    if not finishes:
+        return fail(f"{events_path}: no query.finish events")
+
+    for finish in finishes:
+        index = finish.get("eval_index")
+        span = spans.get(index)
+        if span is None:
+            return fail(f"{trace_path}: no evaluate span for eval_index {index}")
+        shared = [k for k in finish if k in span and isinstance(finish[k], int)]
+        for key in shared:
+            if finish[key] != span[key]:
+                return fail(
+                    f"eval_index {index}: query.finish {key}={finish[key]} "
+                    f"but evaluate span {key}={span[key]}"
+                )
+
+    dropped = bool(events) and events[0]["seq"] != 0
+    if not dropped:
+        samples = {}
+        for line in prom:
+            parts = line.split()
+            if len(parts) == 2 and not line.startswith("#"):
+                samples[parts[0]] = float(parts[1])
+        family = "datacon_query_fixpoint_rounds"
+        rounds = sum(f.get("rounds", 0) for f in finishes)
+        if samples.get(family + "_sum") != rounds:
+            return fail(
+                f"{prom_path}: {family}_sum {samples.get(family + '_sum')} "
+                f"!= sum of query.finish rounds {rounds}"
+            )
+        if samples.get(family + "_count") != len(finishes):
+            return fail(
+                f"{prom_path}: {family}_count "
+                f"{samples.get(family + '_count')} != {len(finishes)} "
+                f"query.finish event(s)"
+            )
+
+    print(
+        f"check_trace: --agree OK — {len(finishes)} evaluation(s) agree "
+        f"across trace, events"
+        + (" (events dropped: histograms not compared)" if dropped
+           else " and metrics")
+    )
+    return 0
+
+
 def main(argv):
     if len(argv) >= 3 and argv[1] == "--events":
         if len(argv) != 3:
@@ -225,10 +303,18 @@ def main(argv):
         if len(argv) != 3:
             return fail("usage: check_trace.py --prom metrics.prom")
         return check_prometheus(argv[2])
+    if len(argv) >= 2 and argv[1] == "--agree":
+        if len(argv) != 5:
+            return fail(
+                "usage: check_trace.py --agree trace.json events.jsonl "
+                "metrics.prom"
+            )
+        return check_agree(argv[2], argv[3], argv[4])
     if len(argv) < 2:
         return fail(
             "usage: check_trace.py trace.json [--require-span NAME]... | "
-            "--events events.jsonl | --prom metrics.prom"
+            "--events events.jsonl | --prom metrics.prom | "
+            "--agree trace.json events.jsonl metrics.prom"
         )
     path = argv[1]
     required = []

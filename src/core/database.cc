@@ -1,5 +1,6 @@
 #include "core/database.h"
 
+#include <algorithm>
 #include <set>
 
 #include "analysis/adorn.h"
@@ -473,6 +474,7 @@ Status Database::InstallCaptures(const ApplicationGraph& graph,
         CacheLookup found = mat_cache_.Lookup(cache_key, catalog_);
         if (found.outcome == CacheOutcome::kHit && found.members.size() == 1 &&
             found.members[0].relation != nullptr) {
+          ++ev->record().cache_hits;
           if (span.active()) span.AddArg("cache", std::string("hit"));
           if (ev->profile() != nullptr) {
             ProfileNode* n = ev->profile()->AddChild(
@@ -486,6 +488,7 @@ Status Database::InstallCaptures(const ApplicationGraph& graph,
               static_cast<int>(i), found.members[0].relation));
           continue;
         }
+        ++ev->record().cache_misses;
         Result<std::vector<CacheInput>> snap =
             SnapshotCacheInputs(scan.inputs, catalog_);
         if (snap.ok()) {
@@ -541,28 +544,22 @@ bool SeededPlanApplies(const CalcExpr& expr, const SeededTcPlan& plan) {
 
 }  // namespace
 
-void Database::BeginEvaluation() {
-  ++eval_index_;
-  last_stats_ = EvalStats{};
-  last_usage_ = ResourceUsage{};
-  last_typed_proven_ = TypedProven();
-  cache_before_ = mat_cache_.stats();
+void Database::BeginEvaluation(const std::string* plan) {
+  static_cast<QueryRecord&>(last_record_) = QueryRecord{};
+  ++last_record_.eval_index;
+  last_record_.typed_proven = TypedProven();
+  // assign() copies into the retained buffer: no allocation per query.
+  last_record_.plan.assign(plan != nullptr ? *plan : std::string_view());
 }
 
-MatCacheStats Database::last_cache_stats() const {
-  const MatCacheStats& now = mat_cache_.stats();
-  MatCacheStats out;
-  out.hits = now.hits - cache_before_.hits;
-  out.misses = now.misses - cache_before_.misses;
-  out.invalidations = now.invalidations - cache_before_.invalidations;
-  out.delta_maintained = now.delta_maintained - cache_before_.delta_maintained;
-  out.evictions = now.evictions - cache_before_.evictions;
-  return out;
+void Database::KeepRecord(SystemEvaluator* ev) {
+  static_cast<QueryRecord&>(last_record_) = ev->record();
+  StoreProfile(ev->TakeProfile());
 }
 
 void Database::StoreProfile(std::unique_ptr<ProfileNode> profile) {
   if (profile == nullptr) return;
-  profiles_.emplace_back(eval_index_, std::move(profile));
+  profiles_.emplace_back(last_record_.eval_index, std::move(profile));
   if (profiles_.size() > kRetainedProfiles) profiles_.erase(profiles_.begin());
 }
 
@@ -573,53 +570,39 @@ const ProfileNode* Database::profile_at(int64_t index) const {
   return nullptr;
 }
 
-void Database::FinishEvaluation(const CalcExpr& expr, int64_t elapsed_ns,
-                                bool ok) {
+void Database::FinishEvaluation(const CalcExpr& expr) {
+  const EvaluationRecord& r = last_record_;
   // Always-on monitoring: four relaxed-atomic histogram records per query.
-  query_latency_ns_->Record(elapsed_ns);
-  query_fixpoint_rounds_->Record(static_cast<int64_t>(last_stats_.iterations));
-  query_tuples_inserted_->Record(
-      static_cast<int64_t>(last_stats_.tuples_inserted));
+  query_latency_ns_->Record(r.elapsed_ns);
+  query_fixpoint_rounds_->Record(static_cast<int64_t>(r.stats.iterations));
+  query_tuples_inserted_->Record(static_cast<int64_t>(r.stats.tuples_inserted));
   query_seed_tuples_pruned_->Record(
-      static_cast<int64_t>(last_stats_.seed_tuples_pruned));
+      static_cast<int64_t>(r.stats.seed_tuples_pruned));
   // The statement/digest strings are only built once admission is certain.
-  if (slow_query_log_.WouldRecord(elapsed_ns)) {
-    std::string digest =
-        "rounds=" + std::to_string(last_stats_.iterations) +
-        " considered=" + std::to_string(last_stats_.tuples_considered) +
-        " inserted=" + std::to_string(last_stats_.tuples_inserted) +
-        " index_probes=" + std::to_string(last_stats_.index_probes) + "\n" +
-        last_usage_.ToText();
-    if (const ProfileNode* profile = profile_at(eval_index_)) {
+  if (slow_query_log_.WouldRecord(r.elapsed_ns)) {
+    std::string digest = FieldsText(r, /*resources=*/false);
+    digest += '\n';
+    digest += FieldsText(r, /*resources=*/true);
+    if (const ProfileNode* profile = profile_at(r.eval_index)) {
       digest += "\n" + profile->ToText();
       while (!digest.empty() && digest.back() == '\n') digest.pop_back();
     }
-    slow_query_log_.Record(ToString(expr), elapsed_ns, std::move(digest));
+    slow_query_log_.Record(ToString(expr), r.elapsed_ns, std::move(digest));
     if (event_log_.enabled()) {
       event_log_.Emit("slowlog.admit",
-                      {EventField::Int("eval_index", eval_index_),
-                       EventField::Int("elapsed_ns", elapsed_ns)});
+                      {EventField::Int("eval_index", r.eval_index),
+                       EventField::Int("elapsed_ns", r.elapsed_ns)});
     }
   }
   if (event_log_.enabled()) {
-    event_log_.Emit(
-        "query.finish",
-        {EventField::Int("eval_index", eval_index_),
-         EventField::Int("ok", ok ? 1 : 0),
-         EventField::Int("elapsed_ns", elapsed_ns),
-         EventField::Int("rounds",
-                         static_cast<int64_t>(last_stats_.iterations)),
-         EventField::Int("tuples_considered",
-                         static_cast<int64_t>(last_stats_.tuples_considered)),
-         EventField::Int("tuples_inserted",
-                         static_cast<int64_t>(last_stats_.tuples_inserted)),
-         EventField::Int("peak_delta",
-                         static_cast<int64_t>(last_usage_.peak_delta_tuples)),
-         EventField::Int(
-             "materialized",
-             static_cast<int64_t>(last_usage_.tuples_materialized)),
-         EventField::Int("approx_bytes",
-                         static_cast<int64_t>(last_usage_.approx_bytes))});
+    std::vector<EventField> fields = {
+        EventField::Int("eval_index", r.eval_index),
+        EventField::Int("ok", r.ok ? 1 : 0),
+        EventField::Int("elapsed_ns", r.elapsed_ns)};
+    for (const QueryField& f : kQueryFields) {
+      fields.push_back(EventField::Int(f.key, static_cast<int64_t>(f.Of(r))));
+    }
+    event_log_.Emit("query.finish", std::move(fields));
   }
 }
 
@@ -627,25 +610,30 @@ template <typename Run>
 Result<Relation> Database::ObservedEvaluation(const CalcExpr& expr,
                                               const std::string* plan,
                                               Run run) {
-  BeginEvaluation();
+  BeginEvaluation(plan);
   TraceSpan span("evaluate");
-  if (plan != nullptr && span.active()) span.AddArg("plan", *plan);
+  if (span.active()) {
+    span.AddArg("eval_index", last_record_.eval_index);
+    if (plan != nullptr) span.AddArg("plan", *plan);
+  }
   if (event_log_.enabled()) {
     event_log_.Emit("query.start",
-                    {EventField::Int("eval_index", eval_index_),
+                    {EventField::Int("eval_index", last_record_.eval_index),
                      plan != nullptr
                          ? EventField::Str("plan", *plan)
                          : EventField::Str("query", ToString(expr))});
   }
   Timer timer;
   Result<Relation> out = run();
+  last_record_.elapsed_ns = timer.ElapsedNs();
+  last_record_.ok = out.ok();
   if (span.active()) {
-    span.AddArg("rounds", static_cast<int64_t>(last_stats_.iterations));
-    span.AddArg("tuples_inserted",
-                static_cast<int64_t>(last_stats_.tuples_inserted));
+    for (const QueryField& f : kQueryFields) {
+      span.AddArg(f.key, static_cast<int64_t>(f.Of(last_record_)));
+    }
     span.AddArg("ok", out.ok() ? int64_t{1} : int64_t{0});
   }
-  FinishEvaluation(expr, timer.ElapsedNs(), out.ok());
+  FinishEvaluation(expr);
   return out;
 }
 
@@ -679,74 +667,66 @@ Result<Relation> Database::ExecuteSeeded(const CalcExprPtr& expr,
   // Constant propagation into the recursive constructor: reachability from
   // the bound constant only, never the full closure.
   TraceSpan span("seeded closure");
-  Timer timer;
   ApplicationGraph graph(&catalog_);
   EvalOptions eval_options = options_.eval;
   eval_options.typed_proven = TypedProven();
   SystemEvaluator ev(&catalog_, &graph, eval_options, params);
   ev.InstallEventLog(&event_log_);
-  DATACON_RETURN_IF_ERROR(ev.MaterializeAll());
-
-  DATACON_ASSIGN_OR_RETURN(const Relation* edges,
-                           ev.Resolve(*plan.edges_range));
-  Value seed;
-  if (plan.seed_literal.has_value()) {
-    seed = *plan.seed_literal;
-  } else {
-    const Value* bound = params.LookupParam(*plan.seed_param);
-    if (bound == nullptr) {
-      return Status::NotFound("parameter '" + *plan.seed_param +
-                              "' not bound");
-    }
-    seed = *bound;
-  }
-  DATACON_ASSIGN_OR_RETURN(Relation closure,
-                           SeededClosure(*edges, {seed}, plan.result_schema));
-  if (span.active()) {
-    span.AddArg("edge_tuples", static_cast<int64_t>(edges->size()));
-    span.AddArg("closure_tuples", static_cast<int64_t>(closure.size()));
-  }
-
-  const Branch& branch = *expr->branches()[0];
-  std::vector<ResolvedBinding> resolved;
-  for (size_t j = 0; j < branch.bindings().size(); ++j) {
-    if (j == plan.binding_index) {
-      resolved.push_back(ResolvedBinding{branch.bindings()[j].var, &closure});
+  Result<Relation> result = [&]() -> Result<Relation> {
+    DATACON_RETURN_IF_ERROR(ev.MaterializeAll());
+    DATACON_ASSIGN_OR_RETURN(const Relation* edges,
+                             ev.Resolve(*plan.edges_range));
+    Value seed;
+    if (plan.seed_literal.has_value()) {
+      seed = *plan.seed_literal;
     } else {
-      DATACON_ASSIGN_OR_RETURN(const Relation* rel,
-                               ev.Resolve(*branch.bindings()[j].range));
-      resolved.push_back(ResolvedBinding{branch.bindings()[j].var, rel});
+      const Value* bound = params.LookupParam(*plan.seed_param);
+      if (bound == nullptr) {
+        return Status::NotFound("parameter '" + *plan.seed_param +
+                                "' not bound");
+      }
+      seed = *bound;
     }
-  }
-  Relation out(schema);
-  Evaluator eval(&ev, eval_options.typed_proven);
-  BranchExecStats exec_stats;
-  DATACON_RETURN_IF_ERROR(ExecuteBranch(branch, resolved, eval, params, &out,
-                                        &exec_stats, options_.eval.exec));
-  // Resource attribution: whatever MaterializeAll built, plus the seeded
-  // closure itself (the plan's working set) and the branch's index builds.
-  last_usage_ = ev.usage();
-  last_usage_.tuples_materialized += closure.size();
-  last_usage_.approx_bytes += ApproxRelationBytes(closure);
-  if (closure.size() > last_usage_.peak_delta_tuples) {
-    last_usage_.peak_delta_tuples = closure.size();
-  }
-  std::unique_ptr<ProfileNode> root;
-  ProfileNode* node = nullptr;
-  if (options_.eval.profile) {
-    root = std::make_unique<ProfileNode>("evaluation");
-    node = root->AddChild("seeded transitive closure");
-    node->counters().Add("closure_tuples",
-                         static_cast<int64_t>(closure.size()));
-  }
-  // last_stats_ was reset by BeginEvaluation; the branch is its only work.
-  RecordBranchExec(exec_stats, /*count_inserted=*/true, &last_stats_,
-                   &last_usage_, node);
-  if (root != nullptr) {
-    root->set_elapsed_ns(timer.ElapsedNs());
-    StoreProfile(std::move(root));
-  }
-  return out;
+    DATACON_ASSIGN_OR_RETURN(Relation closure,
+                             SeededClosure(*edges, {seed}, plan.result_schema));
+    if (span.active()) {
+      span.AddArg("edge_tuples", static_cast<int64_t>(edges->size()));
+      span.AddArg("closure_tuples", static_cast<int64_t>(closure.size()));
+    }
+    // The seeded closure is the plan's materialized working set.
+    QueryRecord& record = ev.record();
+    record.tuples_materialized += closure.size();
+    record.approx_bytes += ApproxRelationBytes(closure);
+    record.peak_delta_tuples =
+        std::max(record.peak_delta_tuples, closure.size());
+    ProfileNode* node = nullptr;
+    if (ev.profile() != nullptr) {
+      node = ev.profile()->AddChild("seeded transitive closure");
+      node->counters().Add("closure_tuples",
+                           static_cast<int64_t>(closure.size()));
+    }
+
+    const Branch& branch = *expr->branches()[0];
+    std::vector<ResolvedBinding> resolved;
+    for (size_t j = 0; j < branch.bindings().size(); ++j) {
+      if (j == plan.binding_index) {
+        resolved.push_back(ResolvedBinding{branch.bindings()[j].var, &closure});
+      } else {
+        DATACON_ASSIGN_OR_RETURN(const Relation* rel,
+                                 ev.Resolve(*branch.bindings()[j].range));
+        resolved.push_back(ResolvedBinding{branch.bindings()[j].var, rel});
+      }
+    }
+    Relation out(schema);
+    Evaluator eval(&ev, eval_options.typed_proven);
+    BranchExecStats exec_stats;
+    DATACON_RETURN_IF_ERROR(ExecuteBranch(branch, resolved, eval, params, &out,
+                                          &exec_stats, options_.eval.exec));
+    record.AddBranchExec(exec_stats, /*count_inserted=*/true, node);
+    return out;
+  }();
+  KeepRecord(&ev);
+  return result;
 }
 
 Result<Relation> Database::EvaluateGeneral(const CalcExprPtr& expr,
@@ -764,23 +744,23 @@ Result<Relation> Database::EvaluateGeneral(const CalcExprPtr& expr,
   const bool use_cache = allow_cache && options_.cache && !params.HasParams();
   if (use_cache) ev.InstallMatCache(&mat_cache_);
   std::optional<SpecializationPlan> plan;
-  if (options_.specialize) {
-    TraceSpan plan_span("plan specialize");
-    DATACON_ASSIGN_OR_RETURN(AdornmentAnalysis adornment,
-                             AnalyzeAdornment(*expr, graph, catalog_));
-    DATACON_ASSIGN_OR_RETURN(plan, BuildSpecializationPlan(adornment, graph));
-    if (plan.has_value()) ev.InstallSpecialization(&*plan);
-  }
-  if (options_.use_capture_rules) {
-    DATACON_RETURN_IF_ERROR(InstallCaptures(
-        graph, &ev, plan.has_value() ? &*plan : nullptr, use_cache));
-  }
-  DATACON_RETURN_IF_ERROR(ev.MaterializeAll());
-  DATACON_ASSIGN_OR_RETURN(Relation out, ev.EvaluateExpr(*expr, schema));
-  last_stats_ = ev.stats();
-  last_usage_ = ev.usage();
-  StoreProfile(ev.TakeProfile());
-  return out;
+  Result<Relation> result = [&]() -> Result<Relation> {
+    if (options_.specialize) {
+      TraceSpan plan_span("plan specialize");
+      DATACON_ASSIGN_OR_RETURN(AdornmentAnalysis adornment,
+                               AnalyzeAdornment(*expr, graph, catalog_));
+      DATACON_ASSIGN_OR_RETURN(plan, BuildSpecializationPlan(adornment, graph));
+      if (plan.has_value()) ev.InstallSpecialization(&*plan);
+    }
+    if (options_.use_capture_rules) {
+      DATACON_RETURN_IF_ERROR(InstallCaptures(
+          graph, &ev, plan.has_value() ? &*plan : nullptr, use_cache));
+    }
+    DATACON_RETURN_IF_ERROR(ev.MaterializeAll());
+    return ev.EvaluateExpr(*expr, schema);
+  }();
+  KeepRecord(&ev);
+  return result;
 }
 
 Result<PreparedQuery> Database::Prepare(

@@ -82,6 +82,21 @@ struct DatabaseOptions {
 
 class Database;
 
+/// The record of one observed evaluation as the database keeps it: the
+/// evaluator's QueryRecord — copied out on failure too, so a failing query
+/// reports the work it did — plus what only the database knows.
+struct EvaluationRecord : QueryRecord {
+  /// 1-based sequence number (see Database::last_eval_index).
+  int64_t eval_index = 0;
+  int64_t elapsed_ns = 0;
+  bool ok = false;
+  /// Ran on the typed-proven fast path: typecheck on, every definition
+  /// admitted under it, and the checked (non-unchecked) evaluation mode.
+  bool typed_proven = false;
+  /// The prepared plan's description; empty for an ad-hoc query.
+  std::string plan;
+};
+
 /// A compiled parameterized query form. Holds the instantiated application
 /// graph and any seeded-closure plan; Execute supplies the constants.
 class PreparedQuery {
@@ -233,13 +248,14 @@ class Database {
   DatabaseOptions& options() { return options_; }
   const DatabaseOptions& options() const { return options_; }
 
-  /// Statistics of the most recent EvalRange/EvalQuery call.
-  const EvalStats& last_stats() const { return last_stats_; }
+  /// The record of the most recent evaluation (EvalRange, EvalQuery or
+  /// PreparedQuery::Execute) — what EXPLAIN ANALYZE, the slow-query log,
+  /// query.finish events, the `evaluate` span and the query.* histograms
+  /// render.
+  const EvaluationRecord& last_record() const { return last_record_; }
 
-  /// Resource attribution of the most recent evaluation (working-set peak,
-  /// materialized tuples/bytes, index builds, cache outcomes) — consumed by
-  /// EXPLAIN ANALYZE, the slow-query log, and query.finish events.
-  const ResourceUsage& last_usage() const { return last_usage_; }
+  /// Statistics of the most recent evaluation.
+  const EvalStats& last_stats() const { return last_record_.stats; }
 
   /// Profile tree of the most recent evaluation, or null when profiling was
   /// off (options().eval.profile) — consumed by EXPLAIN ANALYZE. Equivalent
@@ -251,12 +267,7 @@ class Database {
   /// The 1-based sequence number of the most recent evaluation (0 before
   /// the first). Each EvalRange/EvalQuery/PreparedQuery::Execute call gets
   /// the next index.
-  int64_t last_eval_index() const { return eval_index_; }
-
-  /// True when the most recent evaluation ran on the typed-proven fast
-  /// path: typecheck on, every definition admitted under it, and the
-  /// checked (non-unchecked) evaluation mode.
-  bool last_typed_proven() const { return last_typed_proven_; }
+  int64_t last_eval_index() const { return last_record_.eval_index; }
 
   /// True while every definition in the catalog was admitted with
   /// typecheck on (the proof obligation of the typed fast path).
@@ -291,15 +302,10 @@ class Database {
   const SlowQueryLog& slow_query_log() const { return slow_query_log_; }
 
   /// The materialization cache (PRAGMA CACHE / CACHE_CAPACITY). Lifetime
-  /// counters live in mat_cache().stats(); per-query deltas in
-  /// last_cache_stats().
+  /// counters live in mat_cache().stats(); per-query outcomes in
+  /// last_record().
   MatCache& mat_cache() { return mat_cache_; }
   const MatCache& mat_cache() const { return mat_cache_; }
-
-  /// Cache-counter deltas of the most recent evaluation (hits/misses/
-  /// invalidations/delta-maintenances since BeginEvaluation) — consumed by
-  /// EXPLAIN ANALYZE.
-  MatCacheStats last_cache_stats() const;
 
  private:
   friend class PreparedQuery;
@@ -347,13 +353,17 @@ class Database {
   Result<Relation> ObservedEvaluation(const CalcExpr& expr,
                                       const std::string* plan, Run run);
 
-  /// Starts a new evaluation sequence number and resets last_stats_.
-  void BeginEvaluation();
+  /// Starts a new evaluation sequence number and resets last_record_.
+  void BeginEvaluation(const std::string* plan);
 
-  /// Feeds this database's metrics histograms, the slow-query log, and the
-  /// event log; called on every evaluation exit (also failed ones — a slow
-  /// failing query is still a slow query).
-  void FinishEvaluation(const CalcExpr& expr, int64_t elapsed_ns, bool ok);
+  /// Renders last_record_ into this database's metrics histograms, the
+  /// slow-query log, and the event log; called on every evaluation exit
+  /// (also failed ones — a slow failing query is still a slow query).
+  void FinishEvaluation(const CalcExpr& expr);
+
+  /// Copies `ev`'s record into last_record_ and retains its profile — on
+  /// success and failure alike.
+  void KeepRecord(SystemEvaluator* ev);
 
   /// Retains `profile` (may be null) for the current evaluation index,
   /// evicting beyond kRetainedProfiles.
@@ -384,7 +394,7 @@ class Database {
                          const SpecializationPlan* plan, bool use_cache);
 
   /// The typed-proven verdict for the next evaluation; see
-  /// last_typed_proven().
+  /// EvaluationRecord::typed_proven.
   bool TypedProven() const {
     return options_.typecheck && catalog_typed_clean_ &&
            !options_.eval.unchecked;
@@ -392,11 +402,8 @@ class Database {
 
   DatabaseOptions options_;
   Catalog catalog_;
-  EvalStats last_stats_;
-  ResourceUsage last_usage_;
+  EvaluationRecord last_record_;
   bool catalog_typed_clean_ = true;
-  bool last_typed_proven_ = false;
-  int64_t eval_index_ = 0;
   /// (evaluation index, profile) pairs, oldest first, at most
   /// kRetainedProfiles entries.
   std::vector<std::pair<int64_t, std::unique_ptr<ProfileNode>>> profiles_;
@@ -417,9 +424,6 @@ class Database {
   SlowQueryLog slow_query_log_;
   MatCache mat_cache_;
   std::map<std::string, CompiledConstraint> constraints_;
-  /// Counter snapshot taken by BeginEvaluation, so last_cache_stats() can
-  /// report the most recent query's deltas.
-  MatCacheStats cache_before_;
 };
 
 }  // namespace datacon

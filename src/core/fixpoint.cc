@@ -15,16 +15,9 @@
 namespace datacon {
 
 EvalStats& EvalStats::operator+=(const EvalStats& other) {
-  iterations += other.iterations;
-  tuples_considered += other.tuples_considered;
-  tuples_inserted += other.tuples_inserted;
-  outer_tuples += other.outer_tuples;
-  index_builds += other.index_builds;
-  index_probes += other.index_probes;
-  snapshot_materializations += other.snapshot_materializations;
-  chunks_dispatched += other.chunks_dispatched;
-  specialized_branches += other.specialized_branches;
-  seed_tuples_pruned += other.seed_tuples_pruned;
+  for (const QueryField& f : kQueryFields) {
+    if (f.stat != nullptr) this->*f.stat += other.*f.stat;
+  }
   return *this;
 }
 
@@ -33,14 +26,51 @@ EvalStats operator+(EvalStats a, const EvalStats& b) {
   return a;
 }
 
-std::string ResourceUsage::ToText() const {
-  return "peak_delta=" + std::to_string(peak_delta_tuples) +
-         " materialized=" + std::to_string(tuples_materialized) +
-         " approx_bytes=" + std::to_string(approx_bytes) +
-         " index_builds=" + std::to_string(index_builds) +
-         " cache_hits=" + std::to_string(cache_hits) +
-         " cache_delta=" + std::to_string(cache_delta_hits) +
-         " cache_misses=" + std::to_string(cache_misses);
+EvalStats operator-(const EvalStats& a, const EvalStats& b) {
+  EvalStats out;
+  for (const QueryField& f : kQueryFields) {
+    if (f.stat != nullptr) out.*f.stat = a.*f.stat - b.*f.stat;
+  }
+  return out;
+}
+
+void QueryRecord::AddBranchExec(const BranchExecStats& exec,
+                                bool count_inserted, ProfileNode* node) {
+  stats.tuples_considered += exec.env_count;
+  if (count_inserted) stats.tuples_inserted += exec.inserted;
+  stats.outer_tuples += exec.outer_tuples;
+  stats.index_builds += exec.index_builds;
+  physical_index_builds += exec.index_builds;
+  stats.index_probes += exec.index_probes;
+  stats.snapshot_materializations += exec.snapshots;
+  stats.chunks_dispatched += exec.chunks;
+  if (node == nullptr) return;
+  CounterSet& c = node->counters();
+  c.Add("tuples_considered", static_cast<int64_t>(exec.env_count));
+  if (count_inserted) {
+    c.Add("tuples_inserted", static_cast<int64_t>(exec.inserted));
+  }
+  c.Add("outer_scans", static_cast<int64_t>(exec.outer_tuples));
+  c.Add("index_builds", static_cast<int64_t>(exec.index_builds));
+  c.Add("index_probes", static_cast<int64_t>(exec.index_probes));
+  if (exec.snapshots > 0) {
+    node->exec().Add("snapshots", static_cast<int64_t>(exec.snapshots));
+  }
+  if (exec.chunks > 0) {
+    node->exec().Add("chunks", static_cast<int64_t>(exec.chunks));
+  }
+}
+
+std::string FieldsText(const QueryRecord& record, bool resources) {
+  std::string out;
+  for (const QueryField& f : kQueryFields) {
+    if ((f.stat == nullptr) != resources) continue;
+    if (!out.empty()) out += ' ';
+    out += f.label;
+    out += '=';
+    out += std::to_string(f.Of(record));
+  }
+  return out;
 }
 
 size_t ApproxRelationBytes(const Relation& rel) {
@@ -51,20 +81,87 @@ size_t ApproxRelationBytes(const Relation& rel) {
           kFieldBytes * static_cast<size_t>(rel.schema().arity()));
 }
 
-EvalStats operator-(const EvalStats& a, const EvalStats& b) {
-  EvalStats out;
-  out.iterations = a.iterations - b.iterations;
-  out.tuples_considered = a.tuples_considered - b.tuples_considered;
-  out.tuples_inserted = a.tuples_inserted - b.tuples_inserted;
-  out.outer_tuples = a.outer_tuples - b.outer_tuples;
-  out.index_builds = a.index_builds - b.index_builds;
-  out.index_probes = a.index_probes - b.index_probes;
-  out.snapshot_materializations =
-      a.snapshot_materializations - b.snapshot_materializations;
-  out.chunks_dispatched = a.chunks_dispatched - b.chunks_dispatched;
-  out.specialized_branches = a.specialized_branches - b.specialized_branches;
-  out.seed_tuples_pruned = a.seed_tuples_pruned - b.seed_tuples_pruned;
-  return out;
+/// One fixpoint round's bookkeeping, shared by every round loop: counts the
+/// round, drops the previous round's scratch relations, opens its `round`
+/// span (tagged `tag`=1 for seed and maintenance rounds) and, when
+/// profiling, the profile child that branch counters flow into until the
+/// scope ends.
+class SystemEvaluator::RoundScope {
+ public:
+  RoundScope(SystemEvaluator* ev, ProfileNode* comp_node, size_t round,
+             const char* tag = nullptr)
+      : ev_(ev), comp_node_(comp_node), span_("round") {
+    ++ev_->record_.stats.iterations;
+    ev_->scratch_.clear();
+    if (span_.active()) {
+      span_.AddArg("round", static_cast<int64_t>(round));
+      if (tag != nullptr) span_.AddArg(tag, int64_t{1});
+    }
+    if (comp_node_ != nullptr) {
+      std::string name = "round " + std::to_string(round);
+      if (tag != nullptr) name += std::string(" (") + tag + ")";
+      ev_->cur_ = comp_node_->AddChild(std::move(name));
+    }
+  }
+  ~RoundScope() {
+    if (comp_node_ != nullptr) ev_->cur_ = comp_node_;
+  }
+  RoundScope(const RoundScope&) = delete;
+  RoundScope& operator=(const RoundScope&) = delete;
+
+  TraceSpan& span() { return span_; }
+
+  /// Reports the round's output: `size_of(i)` is member i's new delta (or
+  /// naive fresh set). Raises the working-set peak, adds a `kind[key]`
+  /// profile counter per member and their sum as span argument `sum_arg`,
+  /// and stamps the round's wall time.
+  template <typename SizeOf>
+  void Close(const std::vector<int>& component, const char* kind,
+             const char* sum_arg, SizeOf size_of) {
+    QueryRecord& record = ev_->record_;
+    int64_t sum = 0;
+    for (size_t i = 0; i < component.size(); ++i) {
+      const size_t size = size_of(i);
+      record.peak_delta_tuples = std::max(record.peak_delta_tuples, size);
+      sum += static_cast<int64_t>(size);
+      if (comp_node_ != nullptr) {
+        const std::string& key =
+            ev_->graph_->nodes()[static_cast<size_t>(component[i])].key;
+        ev_->cur_->counters().Add(std::string(kind) + "[" + key + "]",
+                                  static_cast<int64_t>(size));
+      }
+    }
+    if (comp_node_ != nullptr) ev_->cur_->set_elapsed_ns(timer_.ElapsedNs());
+    if (span_.active()) span_.AddArg(sum_arg, sum);
+  }
+
+ private:
+  SystemEvaluator* ev_;
+  ProfileNode* comp_node_;
+  TraceSpan span_;
+  Timer timer_;
+};
+
+void SystemEvaluator::NoteCacheUse(CacheUse use, TraceSpan* span,
+                                   ProfileNode* comp_node) {
+  struct Row {
+    const char* outcome;          // `cache` span argument
+    const char* profile_counter;  // component profile counter, or null
+    size_t QueryRecord::*count;
+  };
+  static constexpr Row kRows[] = {
+      {"hit", "cache_hit", &QueryRecord::cache_hits},
+      {"delta_maintained", "cache_delta_maintained",
+       &QueryRecord::cache_delta_hits},
+      {"miss", nullptr, &QueryRecord::cache_misses},
+      {"degraded", nullptr, &QueryRecord::cache_misses},
+  };
+  const Row& row = kRows[static_cast<size_t>(use)];
+  ++(record_.*row.count);
+  if (span->active()) span->AddArg("outcome", std::string(row.outcome));
+  if (comp_node != nullptr && row.profile_counter != nullptr) {
+    comp_node->counters().Add(row.profile_counter, int64_t{1});
+  }
 }
 
 SystemEvaluator::SystemEvaluator(const Catalog* catalog,
@@ -99,39 +196,6 @@ std::string SystemEvaluator::ComponentLabel(
     label += graph_->nodes()[static_cast<size_t>(component[i])].key;
   }
   return label + "]";
-}
-
-void RecordBranchExec(const BranchExecStats& exec, bool count_inserted,
-                      EvalStats* stats, ResourceUsage* usage,
-                      ProfileNode* node) {
-  stats->tuples_considered += exec.env_count;
-  if (count_inserted) stats->tuples_inserted += exec.inserted;
-  stats->outer_tuples += exec.outer_tuples;
-  stats->index_builds += exec.index_builds;
-  usage->index_builds += exec.index_builds;
-  stats->index_probes += exec.index_probes;
-  stats->snapshot_materializations += exec.snapshots;
-  stats->chunks_dispatched += exec.chunks;
-  if (node == nullptr) return;
-  CounterSet& c = node->counters();
-  c.Add("tuples_considered", static_cast<int64_t>(exec.env_count));
-  if (count_inserted) {
-    c.Add("tuples_inserted", static_cast<int64_t>(exec.inserted));
-  }
-  c.Add("outer_scans", static_cast<int64_t>(exec.outer_tuples));
-  c.Add("index_builds", static_cast<int64_t>(exec.index_builds));
-  c.Add("index_probes", static_cast<int64_t>(exec.index_probes));
-  if (exec.snapshots > 0) {
-    node->exec().Add("snapshots", static_cast<int64_t>(exec.snapshots));
-  }
-  if (exec.chunks > 0) {
-    node->exec().Add("chunks", static_cast<int64_t>(exec.chunks));
-  }
-}
-
-void SystemEvaluator::RecordBranchExec(const BranchExecStats& exec,
-                                       bool count_inserted) {
-  datacon::RecordBranchExec(exec, count_inserted, &stats_, &usage_, cur_);
 }
 
 Status SystemEvaluator::InstallNodeRelation(int node,
@@ -176,12 +240,12 @@ Status SystemEvaluator::MaterializeAll() {
     Result<MagicSets> magic = ComputeMagicSets(*plan_, *this, params_);
     if (magic.ok()) {
       magic_ = std::move(magic).value();
-      stats_.specialized_branches = plan_->specialized_branches();
+      record_.stats.specialized_branches = plan_->specialized_branches();
       if (profile_ != nullptr) {
         ProfileNode* spec = profile_->AddChild("specialization");
         spec->counters().Add(
             "specialized_branches",
-            static_cast<int64_t>(stats_.specialized_branches));
+            static_cast<int64_t>(record_.stats.specialized_branches));
         spec->counters().Add("magic_values",
                              static_cast<int64_t>(magic_.TotalValues()));
       }
@@ -245,72 +309,52 @@ Status SystemEvaluator::MaterializeAll() {
       TraceSpan cache_span("cache");
       if (cache_span.active()) cache_span.AddArg("key", ck->key);
       CacheLookup found = cache_->Lookup(ck->key, *catalog_);
+      CacheUse use = CacheUse::kMiss;
       if (found.outcome == CacheOutcome::kHit) {
         status = InstallCachedMembers(members, found.members);
         if (status.ok()) {
           // Replay the entry's recorded contribution so repeat queries
           // report the same logical counters as the run that filled it.
-          stats_ += found.stats;
-          satisfied = true;
-          ++usage_.cache_hits;
-          if (cache_span.active()) {
-            cache_span.AddArg("outcome", std::string("hit"));
-          }
-          if (comp_node != nullptr) {
-            comp_node->counters().Add("cache_hit", int64_t{1});
-            int64_t cached = 0;
-            for (int n : members) {
-              cached += static_cast<int64_t>(
-                  totals_[static_cast<size_t>(n)]->size());
-            }
-            comp_node->counters().Add("cached_tuples", cached);
-          }
+          record_.stats += found.stats;
+          use = CacheUse::kHit;
         }
       } else if (found.outcome == CacheOutcome::kDeltaHit) {
-        EvalStats before = stats_;
+        EvalStats before = record_.stats;
         Status maintain = MaintainComponent(members, found);
-        if (maintain.ok()) {
-          Result<std::vector<CacheInput>> inputs =
-              SnapshotCacheInputs(ck->inputs, *catalog_);
-          if (inputs.ok()) {
-            cache_->NoteMaintained(ck->key, SnapshotMembers(members),
-                                   std::move(inputs).value(),
-                                   found.stats + (stats_ - before));
-            satisfied = true;
-            status = Status::OK();
-            ++usage_.cache_delta_hits;
-            if (cache_span.active()) {
-              cache_span.AddArg("outcome", std::string("delta_maintained"));
-            }
-            if (comp_node != nullptr) {
-              comp_node->counters().Add("cache_delta_maintained", int64_t{1});
-            }
-          }
-        }
-        if (!satisfied) {
+        Result<std::vector<CacheInput>> inputs =
+            maintain.ok() ? SnapshotCacheInputs(ck->inputs, *catalog_)
+                          : Result<std::vector<CacheInput>>(maintain);
+        if (inputs.ok()) {
+          cache_->NoteMaintained(ck->key, SnapshotMembers(members),
+                                 std::move(inputs).value(),
+                                 found.stats + (record_.stats - before));
+          use = CacheUse::kDeltaMaintained;
+        } else {
           // Degrade to a full recompute, never an error: undo the partial
           // maintenance (the stats snapshot keeps counters bit-identical
           // with CACHE OFF) and drop the entry.
-          stats_ = before;
+          record_.stats = before;
           for (int n : members) totals_[static_cast<size_t>(n)] = nullptr;
           overrides_.clear();
           iterating_nodes_.clear();
           scratch_.clear();
           cache_->InvalidateAfterFailure(ck->key);
-          if (cache_span.active()) {
-            cache_span.AddArg("outcome", std::string("degraded"));
-          }
+          use = CacheUse::kDegraded;
         }
-      } else if (cache_span.active()) {
-        cache_span.AddArg("outcome", std::string("miss"));
       }
+      NoteCacheUse(use, &cache_span, comp_node);
+      if (use == CacheUse::kHit && comp_node != nullptr) {
+        int64_t cached = 0;
+        for (int n : members) {
+          cached +=
+              static_cast<int64_t>(totals_[static_cast<size_t>(n)]->size());
+        }
+        comp_node->counters().Add("cached_tuples", cached);
+      }
+      satisfied = use == CacheUse::kHit || use == CacheUse::kDeltaMaintained;
     }
     if (!satisfied) {
-      // A consulted key that did not satisfy the component is a miss for
-      // attribution — including a delta hit whose maintenance degraded
-      // (matching MatCache's own miss accounting).
-      if (ck.has_value()) ++usage_.cache_misses;
-      EvalStats before = stats_;
+      EvalStats before = record_.stats;
       if (!cyclic) {
         status = EvaluateAcyclicNode(members[0]);
       } else if (naive) {
@@ -323,7 +367,7 @@ Status SystemEvaluator::MaterializeAll() {
             SnapshotCacheInputs(ck->inputs, *catalog_);
         if (inputs.ok()) {
           cache_->Insert(ck->key, SnapshotMembers(members),
-                         std::move(inputs).value(), stats_ - before,
+                         std::move(inputs).value(), record_.stats - before,
                          ck->maintainable);
         }
       }
@@ -338,8 +382,8 @@ Status SystemEvaluator::MaterializeAll() {
   // at the end (freshly evaluated or cache-installed alike).
   for (const std::shared_ptr<Relation>& rel : totals_) {
     if (rel == nullptr) continue;
-    usage_.tuples_materialized += rel->size();
-    usage_.approx_bytes += ApproxRelationBytes(*rel);
+    record_.tuples_materialized += rel->size();
+    record_.approx_bytes += ApproxRelationBytes(*rel);
   }
   materialized_ = true;
   return Status::OK();
@@ -401,7 +445,7 @@ Result<Relation> SystemEvaluator::EvaluateExpr(const CalcExpr& expr,
     }
     BranchExecStats exec;
     exec.env_count = exec.outer_tuples = exec.inserted = out.size();
-    RecordBranchExec(exec, /*count_inserted=*/true);
+    record_.AddBranchExec(exec, /*count_inserted=*/true, cur_);
   } else {
     for (const BranchPtr& branch : expr.branches()) {
       status = EvaluateBranch(*branch, &out);
@@ -453,8 +497,7 @@ Status SystemEvaluator::NaiveFixpoint(const std::vector<int>& component) {
   // fresh relations are swapped in at the end of the round.
   size_t round = 0;
   while (true) {
-    ++round;
-    ++stats_.iterations;
+    RoundScope scope(this, comp_node, ++round);
     if (options_.max_iterations != 0 && round > options_.max_iterations) {
       return Status::Divergence(
           "naive fixpoint did not converge within " +
@@ -462,23 +505,12 @@ Status SystemEvaluator::NaiveFixpoint(const std::vector<int>& component) {
           " iterations (a non-monotonic system such as section 3.3's "
           "'nonsense' has no limit)");
     }
-    scratch_.clear();
-    TraceSpan round_span("round");
-    if (round_span.active()) {
-      round_span.AddArg("round", static_cast<int64_t>(round));
-    }
-    Timer round_timer;
-    if (comp_node != nullptr) {
-      cur_ = comp_node->AddChild("round " + std::to_string(round));
-    }
-
     std::vector<std::unique_ptr<Relation>> fresh;
     fresh.reserve(component.size());
     for (int n : component) {
       auto rel = std::make_unique<Relation>(
           graph_->nodes()[static_cast<size_t>(n)].result_schema);
       DATACON_RETURN_IF_ERROR(EvaluateNodeBody(n, rel.get()));
-      NotePeakDelta(rel->size());
       fresh.push_back(std::move(rel));
     }
 
@@ -489,20 +521,10 @@ Status SystemEvaluator::NaiveFixpoint(const std::vector<int>& component) {
         break;
       }
     }
-    if (comp_node != nullptr) {
-      for (size_t i = 0; i < component.size(); ++i) {
-        cur_->counters().Add(
-            "total[" +
-                graph_->nodes()[static_cast<size_t>(component[i])].key + "]",
-            static_cast<int64_t>(fresh[i]->size()));
-      }
-      cur_->set_elapsed_ns(round_timer.ElapsedNs());
-    }
-    if (round_span.active()) {
-      int64_t total = 0;
-      for (const auto& rel : fresh) total += static_cast<int64_t>(rel->size());
-      round_span.AddArg("total_tuples", total);
-      round_span.AddArg("changed", changed ? int64_t{1} : int64_t{0});
+    scope.Close(component, "total", "total_tuples",
+                [&](size_t i) { return fresh[i]->size(); });
+    if (scope.span().active()) {
+      scope.span().AddArg("changed", changed ? int64_t{1} : int64_t{0});
     }
     for (size_t i = 0; i < component.size(); ++i) {
       totals_[static_cast<size_t>(component[i])] = std::move(fresh[i]);
@@ -511,7 +533,6 @@ Status SystemEvaluator::NaiveFixpoint(const std::vector<int>& component) {
   }
   if (comp_node != nullptr) {
     comp_node->counters().Add("rounds", static_cast<int64_t>(round));
-    cur_ = comp_node;
   }
   iterating_nodes_.clear();
   return Status::OK();
@@ -605,44 +626,19 @@ Status SystemEvaluator::SemiNaiveFixpoint(const std::vector<int>& component) {
     overrides_[component[i]] = empties[i].get();
   }
   std::map<int, std::unique_ptr<Relation>> deltas;
-  scratch_.clear();
   {
-    TraceSpan seed_span("round");
-    if (seed_span.active()) {
-      seed_span.AddArg("round", int64_t{1});
-      seed_span.AddArg("seed", int64_t{1});
-    }
-    Timer seed_timer;
-    if (comp_node != nullptr) {
-      cur_ = comp_node->AddChild("round 1 (seed)");
-    }
+    RoundScope scope(this, comp_node, 1, "seed");
     for (int n : component) {
       auto raw = std::make_unique<Relation>(
           graph_->nodes()[static_cast<size_t>(n)].result_schema);
       DATACON_RETURN_IF_ERROR(EvaluateNodeBody(n, raw.get()));
       // T := f(∅): the total starts as a whole-set copy of the seed delta.
       *totals_[static_cast<size_t>(n)] = *raw;
-      NotePeakDelta(raw->size());
       deltas[n] = std::move(raw);
     }
     overrides_.clear();
-    ++stats_.iterations;
-    if (comp_node != nullptr) {
-      for (int n : component) {
-        cur_->counters().Add(
-            "delta[" + graph_->nodes()[static_cast<size_t>(n)].key + "]",
-            static_cast<int64_t>(deltas[n]->size()));
-      }
-      cur_->set_elapsed_ns(seed_timer.ElapsedNs());
-    }
-    if (seed_span.active()) {
-      int64_t delta_total = 0;
-      for (int n : component) {
-        delta_total += static_cast<int64_t>(deltas[n]->size());
-      }
-      seed_span.AddArg("delta", delta_total);
-      seed_span.AddArg("inserts", delta_total);
-    }
+    scope.Close(component, "delta", "inserts",
+                [&](size_t i) { return deltas[component[i]]->size(); });
   }
 
   size_t round = 1;
@@ -658,7 +654,7 @@ Status SystemEvaluator::DifferentialRounds(
     ProfileNode* comp_node, size_t* round_io) {
   std::map<int, std::unique_ptr<Relation>>& deltas = *deltas_io;
   // Differential rounds. The per-component round budget mirrors
-  // NaiveFixpoint: `round` is local to this component (stats_.iterations
+  // NaiveFixpoint: `round` is local to this component (stats.iterations
   // accumulates across ALL components and must not feed the bound); the
   // caller's seed round — f(∅) for a cold fixpoint, the base-delta
   // derivations for cache maintenance — already counts as round 1.
@@ -673,27 +669,19 @@ Status SystemEvaluator::DifferentialRounds(
     }
     if (!any_delta) break;
 
-    ++round;
-    ++stats_.iterations;
+    RoundScope scope(this, comp_node, ++round);
     if (options_.max_iterations != 0 && round > options_.max_iterations) {
       return Status::Divergence(
           "semi-naive fixpoint did not converge within " +
           std::to_string(options_.max_iterations) +
           " iterations for one recursive component");
     }
-    scratch_.clear();
-    TraceSpan round_span("round");
-    if (round_span.active()) {
-      round_span.AddArg("round", static_cast<int64_t>(round));
+    if (scope.span().active()) {
       int64_t prev_delta = 0;
       for (int n : component) {
         prev_delta += static_cast<int64_t>(deltas[n]->size());
       }
-      round_span.AddArg("delta", prev_delta);
-    }
-    Timer round_timer;
-    if (comp_node != nullptr) {
-      cur_ = comp_node->AddChild("round " + std::to_string(round));
+      scope.span().AddArg("delta", prev_delta);
     }
 
     // Lazily computed pre-round approximations T_old = T \ delta, used by
@@ -771,7 +759,7 @@ Status SystemEvaluator::DifferentialRounds(
         DATACON_RETURN_IF_ERROR(ExecuteBranch(*info.branch, resolved, eval,
                                               params_, out, &exec_stats,
                                               options_.exec));
-        RecordBranchExec(exec_stats, /*count_inserted=*/false);
+        record_.AddBranchExec(exec_stats, /*count_inserted=*/false, cur_);
       }
     }
 
@@ -781,28 +769,14 @@ Status SystemEvaluator::DifferentialRounds(
                                FoldDelta(n, std::move(raws[n]), comp_node));
       if (!deltas[n]->empty()) grew = true;
     }
-    if (comp_node != nullptr) {
-      for (int n : component) {
-        cur_->counters().Add(
-            "delta[" + graph_->nodes()[static_cast<size_t>(n)].key + "]",
-            static_cast<int64_t>(deltas[n]->size()));
-      }
-      cur_->set_elapsed_ns(round_timer.ElapsedNs());
-    }
-    if (round_span.active()) {
-      int64_t inserts = 0;
-      for (int n : component) {
-        inserts += static_cast<int64_t>(deltas[n]->size());
-      }
-      round_span.AddArg("inserts", inserts);
-    }
+    scope.Close(component, "delta", "inserts",
+                [&](size_t i) { return deltas[component[i]]->size(); });
     if (!grew) break;
   }
 
   *round_io = round;
   if (comp_node != nullptr) {
     comp_node->counters().Add("rounds", static_cast<int64_t>(round));
-    cur_ = comp_node;
   }
   return Status::OK();
 }
@@ -813,13 +787,12 @@ Result<std::unique_ptr<Relation>> SystemEvaluator::FoldDelta(
   raw->Subtract(*total);
   if (!raw->empty()) {
     DATACON_RETURN_IF_ERROR(total->InsertAll(*raw));
-    stats_.tuples_inserted += raw->size();
+    record_.stats.tuples_inserted += raw->size();
     if (cur_ != nullptr && cur_ != comp_node) {
       cur_->counters().Add("tuples_inserted",
                            static_cast<int64_t>(raw->size()));
     }
   }
-  NotePeakDelta(raw->size());
   return raw;
 }
 
@@ -1030,17 +1003,8 @@ Status SystemEvaluator::MaintainComponent(const std::vector<int>& component,
   // occurrences before it the pre-change base, everything else the current
   // state — including the full cached approximations of recursive bindings.
   std::map<int, std::unique_ptr<Relation>> deltas;
-  scratch_.clear();
   {
-    TraceSpan seed_span("round");
-    if (seed_span.active()) {
-      seed_span.AddArg("round", int64_t{1});
-      seed_span.AddArg("maintain", int64_t{1});
-    }
-    Timer seed_timer;
-    if (comp_node != nullptr) {
-      cur_ = comp_node->AddChild("round 1 (maintain)");
-    }
+    RoundScope scope(this, comp_node, 1, "maintain");
     std::map<int, std::unique_ptr<Relation>> raws;
     for (int n : component) {
       raws[n] = std::make_unique<Relation>(
@@ -1099,7 +1063,7 @@ Status SystemEvaluator::MaintainComponent(const std::vector<int>& component,
         DATACON_RETURN_IF_ERROR(ExecuteBranch(*info.branch, resolved, eval,
                                               params_, out, &exec_stats,
                                               options_.exec));
-        RecordBranchExec(exec_stats, /*count_inserted=*/false);
+        record_.AddBranchExec(exec_stats, /*count_inserted=*/false, cur_);
       }
     }
 
@@ -1107,23 +1071,8 @@ Status SystemEvaluator::MaintainComponent(const std::vector<int>& component,
       DATACON_ASSIGN_OR_RETURN(deltas[n],
                                FoldDelta(n, std::move(raws[n]), comp_node));
     }
-    ++stats_.iterations;
-    if (comp_node != nullptr) {
-      for (int n : component) {
-        cur_->counters().Add(
-            "delta[" + graph_->nodes()[static_cast<size_t>(n)].key + "]",
-            static_cast<int64_t>(deltas[n]->size()));
-      }
-      cur_->set_elapsed_ns(seed_timer.ElapsedNs());
-    }
-    if (seed_span.active()) {
-      int64_t delta_total = 0;
-      for (int n : component) {
-        delta_total += static_cast<int64_t>(deltas[n]->size());
-      }
-      seed_span.AddArg("delta", delta_total);
-      seed_span.AddArg("inserts", delta_total);
-    }
+    scope.Close(component, "delta", "inserts",
+                [&](size_t i) { return deltas[component[i]]->size(); });
   }
 
   bool any_recursive = false;
@@ -1134,8 +1083,6 @@ Status SystemEvaluator::MaintainComponent(const std::vector<int>& component,
   if (any_recursive) {
     DATACON_RETURN_IF_ERROR(
         DifferentialRounds(component, infos, &deltas, comp_node, &round));
-  } else if (comp_node != nullptr) {
-    cur_ = comp_node;
   }
   iterating_nodes_.clear();
   return Status::OK();
@@ -1179,7 +1126,7 @@ Result<const Relation*> SystemEvaluator::FilteredBinding(
     (void)inserted;
   }
   const size_t pruned = rel->size() - filtered->size();
-  stats_.seed_tuples_pruned += pruned;
+  record_.stats.seed_tuples_pruned += pruned;
   if (cur_ != nullptr && pruned > 0) {
     cur_->counters().Add("seed_tuples_pruned", static_cast<int64_t>(pruned));
   }
@@ -1202,7 +1149,7 @@ Status SystemEvaluator::EvaluateBranch(const Branch& branch, Relation* out,
   BranchExecStats exec_stats;
   DATACON_RETURN_IF_ERROR(ExecuteBranch(branch, resolved, eval, params_, out,
                                         &exec_stats, options_.exec));
-  RecordBranchExec(exec_stats, count_inserted);
+  record_.AddBranchExec(exec_stats, count_inserted, cur_);
   return Status::OK();
 }
 

@@ -25,6 +25,7 @@ namespace datacon {
 struct BranchExecStats;
 class EventLog;
 class MatCache;
+class TraceSpan;
 struct CacheLookup;
 struct CachedRelation;
 struct CacheInput;
@@ -92,57 +93,98 @@ struct EvalStats {
   EvalStats& operator+=(const EvalStats& other);
 };
 
-/// Field-wise sum and difference. The materialization cache records a
-/// component's contribution as (stats after − stats before) and replays it
-/// on a hit, so repeat queries report the same logical counters as the
-/// cold run that filled the entry. Subtraction assumes `b` is an earlier
-/// snapshot of `a` (every counter monotonically grows).
+/// Field-wise sum and difference (over kQueryFields). The materialization
+/// cache records a component's contribution as (stats after − stats
+/// before) and replays it on a hit, so repeat queries report the same
+/// logical counters as the cold run that filled the entry. Subtraction
+/// assumes `b` is an earlier snapshot of `a` (counters only grow).
 EvalStats operator+(EvalStats a, const EvalStats& b);
 EvalStats operator-(const EvalStats& a, const EvalStats& b);
 
-/// Per-query resource attribution, threaded by the evaluator alongside
-/// EvalStats: the *physical* footprint of one evaluation rather than its
-/// logical work. Flows into slow-log digests, query.finish events, and the
-/// EXPLAIN ANALYZE resource line. Every field is deterministic at any
-/// thread-count setting, and collecting it never feeds back into EvalStats
-/// (the neutrality tests pin both).
-struct ResourceUsage {
+/// The one per-query record, filled by the evaluator as it works and
+/// rendered by every observability surface (EXPLAIN ANALYZE, the slow-query
+/// log, query.finish, the `evaluate` span, the query.* histograms): the
+/// logical EvalStats plus the evaluation's physical attribution and cache
+/// outcomes. All but the two EvalStats execution-detail counters are
+/// deterministic at any thread count; collecting it never feeds back.
+struct QueryRecord {
+  EvalStats stats;
   /// Largest single-node delta (semi-naive) or fresh-set (naive)
   /// cardinality seen in any fixpoint round — the working-set peak.
   size_t peak_delta_tuples = 0;
   /// Tuples held across all materialized application relations when
   /// MaterializeAll finished (cache-installed members included).
   size_t tuples_materialized = 0;
-  /// Deterministic size estimate of those materializations: a fixed
-  /// per-tuple overhead plus a per-field cost derived from the schema —
-  /// an attribution unit, not a malloc audit.
+  /// Deterministic size estimate of those materializations (see
+  /// ApproxRelationBytes) — an attribution unit, not a malloc audit.
   size_t approx_bytes = 0;
-  /// Hash indexes built for inner join levels (mirrors EvalStats).
-  size_t index_builds = 0;
-  /// Component-level materialization-cache outcomes of this evaluation
-  /// (all zero when the cache was not consulted).
+  /// Hash indexes this evaluation actually built. Unlike
+  /// stats.index_builds, a cache hit replays nothing here.
+  size_t physical_index_builds = 0;
+  /// Materialization-cache outcomes, counted where a lookup is consumed:
+  /// once per consulted component key and capture-closure key. A delta hit
+  /// whose maintenance degraded to a recompute counts as a miss.
   size_t cache_hits = 0;
   size_t cache_delta_hits = 0;
   size_t cache_misses = 0;
 
-  /// "peak_delta=N materialized=N approx_bytes=N index_builds=N
-  ///  cache_hits=N cache_delta=N cache_misses=N" — the digest appended to
-  /// slow-log entries and the EXPLAIN ANALYZE resource line.
-  std::string ToText() const;
+  /// Folds one branch execution's counters into `stats` and
+  /// physical_index_builds and, when `node` is non-null, into its profile
+  /// counters. `tuples_inserted` is counted only with `count_inserted`.
+  void AddBranchExec(const BranchExecStats& exec, bool count_inserted,
+                     ProfileNode* node);
 };
 
-/// The deterministic per-relation size estimate behind
-/// ResourceUsage::approx_bytes: a fixed per-tuple overhead plus a
-/// per-field cost. Pure arithmetic over size and arity — O(1), identical
-/// at every thread count, and independent of allocator behaviour.
-size_t ApproxRelationBytes(const Relation& rel);
+/// One counter of a QueryRecord: its EvalStats member (`stat`) or, for the
+/// physical attribution the `resources:` line shows, its record member
+/// (`own`), and its names on every surface.
+struct QueryField {
+  /// Machine key: query.finish field, `evaluate` span argument.
+  const char* key;
+  /// Text label: slow-log digest, EXPLAIN ANALYZE `resources:` line.
+  const char* label;
+  size_t EvalStats::*stat = nullptr;
+  size_t QueryRecord::*own = nullptr;
 
-/// Folds one branch execution's counters into `stats` and `usage` (index
-/// builds) and, when `node` is non-null, into its profile counters.
-/// `tuples_inserted` is counted only with `count_inserted`.
-void RecordBranchExec(const BranchExecStats& exec, bool count_inserted,
-                      EvalStats* stats, ResourceUsage* usage,
-                      ProfileNode* node);
+  size_t Of(const QueryRecord& r) const {
+    return stat != nullptr ? r.stats.*stat : r.*own;
+  }
+};
+
+/// The field table: the single list of QueryRecord counters, in rendering
+/// order. EvalStats arithmetic and every surface iterate it.
+inline constexpr QueryField kQueryFields[] = {
+    {"rounds", "rounds", &EvalStats::iterations},
+    {"tuples_considered", "considered", &EvalStats::tuples_considered},
+    {"tuples_inserted", "inserted", &EvalStats::tuples_inserted},
+    {"outer_tuples", "outer", &EvalStats::outer_tuples},
+    {"index_builds", "index_builds", &EvalStats::index_builds},
+    {"index_probes", "index_probes", &EvalStats::index_probes},
+    {"snapshots", "snapshots", &EvalStats::snapshot_materializations},
+    {"chunks", "chunks", &EvalStats::chunks_dispatched},
+    {"specialized_branches", "specialized", &EvalStats::specialized_branches},
+    {"seed_tuples_pruned", "pruned", &EvalStats::seed_tuples_pruned},
+    {"peak_delta", "peak_delta", nullptr, &QueryRecord::peak_delta_tuples},
+    {"materialized", "materialized", nullptr,
+     &QueryRecord::tuples_materialized},
+    {"approx_bytes", "approx_bytes", nullptr, &QueryRecord::approx_bytes},
+    {"physical_index_builds", "physical_index_builds", nullptr,
+     &QueryRecord::physical_index_builds},
+    {"cache_hits", "cache_hits", nullptr, &QueryRecord::cache_hits},
+    {"cache_delta", "cache_delta", nullptr, &QueryRecord::cache_delta_hits},
+    {"cache_misses", "cache_misses", nullptr, &QueryRecord::cache_misses},
+};
+
+/// "label=N label=N ..." over the EvalStats fields (`resources` false) or
+/// the physical attribution (true): the two counter lines of the slow-log
+/// digest, the second also EXPLAIN ANALYZE's `resources:` line.
+std::string FieldsText(const QueryRecord& record, bool resources);
+
+/// The deterministic per-relation size estimate behind
+/// QueryRecord::approx_bytes: a fixed per-tuple overhead plus a per-field
+/// cost. Pure arithmetic over size and arity — O(1), identical at every
+/// thread count, and independent of allocator behaviour.
+size_t ApproxRelationBytes(const Relation& rel);
 
 /// Evaluates an instantiated application system (level 3 of the paper's
 /// framework): components of the application graph are materialized in
@@ -221,11 +263,12 @@ class SystemEvaluator : public RelationResolver {
   /// applied on top.
   Result<const Relation*> Resolve(const Range& range) const override;
 
-  const EvalStats& stats() const { return stats_; }
+  const EvalStats& stats() const { return record_.stats; }
 
-  /// Resource attribution accumulated so far (complete after
-  /// MaterializeAll + EvaluateExpr).
-  const ResourceUsage& usage() const { return usage_; }
+  /// The record so far (complete after MaterializeAll + EvaluateExpr). The
+  /// database layer also counts capture and seeded-closure work through it.
+  QueryRecord& record() { return record_; }
+  const QueryRecord& record() const { return record_; }
 
   /// The profile tree collected so far (null unless options.profile). The
   /// database layer also appends capture-rule nodes through this.
@@ -349,17 +392,15 @@ class SystemEvaluator : public RelationResolver {
                                           size_t binding_index,
                                           const Relation* rel);
 
-  /// Folds one branch execution's counters into the flat stats and, when
-  /// profiling, into the current profile node.
-  void RecordBranchExec(const BranchExecStats& exec, bool count_inserted);
+  /// How a consulted component cache key was settled.
+  enum class CacheUse { kHit, kDeltaMaintained, kMiss, kDegraded };
 
-  /// Raises the attribution working-set peak to `cardinality` — called with
-  /// each round's per-node delta/fresh-set size.
-  void NotePeakDelta(size_t cardinality) {
-    if (cardinality > usage_.peak_delta_tuples) {
-      usage_.peak_delta_tuples = cardinality;
-    }
-  }
+  /// Counts `use` in the record and reports it on the `cache` span and, for
+  /// hits, the component's profile node.
+  void NoteCacheUse(CacheUse use, TraceSpan* span, ProfileNode* comp_node);
+
+  /// The bookkeeping of one fixpoint round (defined in fixpoint.cc).
+  class RoundScope;
 
   /// The display key of a component: "[k1, k2]" over the member node keys.
   std::string ComponentLabel(const std::vector<int>& component) const;
@@ -414,8 +455,7 @@ class SystemEvaluator : public RelationResolver {
   /// pool was supplied.
   std::unique_ptr<ThreadPool> pool_;
 
-  EvalStats stats_;
-  ResourceUsage usage_;
+  QueryRecord record_;
 
   /// Profile tree (only when options.profile) and the node branch-level
   /// counters currently flow into (a component, round, or query node).

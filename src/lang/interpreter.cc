@@ -172,7 +172,8 @@ Status Interpreter::Run(const ScriptStmt& stmt) {
     Result<Relation> value = db_->EvalRange(explain->range);
     db_->options().eval.profile = saved_profile;
     DATACON_RETURN_IF_ERROR(value.status());
-    const EvalStats& stats = db_->last_stats();
+    const EvaluationRecord& record = db_->last_record();
+    const EvalStats& stats = record.stats;
     text += "analyze:\n";
     if (db_->last_profile() != nullptr) {
       std::string profile_text = db_->last_profile()->ToText();
@@ -197,17 +198,16 @@ Status Interpreter::Run(const ScriptStmt& stmt) {
     text += "\n";
     // Only queries that actually consulted the materialization cache grow a
     // cache line (plain-range queries and PRAGMA CACHE = OFF stay as-is).
-    MatCacheStats cache = db_->last_cache_stats();
-    if (cache.hits + cache.misses + cache.delta_maintained > 0) {
-      text += "cache: " + std::to_string(cache.hits) + " hit(s), " +
-              std::to_string(cache.misses) + " miss(es)";
-      if (cache.delta_maintained > 0) {
-        text += ", " + std::to_string(cache.delta_maintained) +
+    if (record.cache_hits + record.cache_misses + record.cache_delta_hits > 0) {
+      text += "cache: " + std::to_string(record.cache_hits) + " hit(s), " +
+              std::to_string(record.cache_misses) + " miss(es)";
+      if (record.cache_delta_hits > 0) {
+        text += ", " + std::to_string(record.cache_delta_hits) +
                 " delta-maintained";
       }
       text += "\n";
     }
-    text += "resources: " + db_->last_usage().ToText() + "\n";
+    text += "resources: " + FieldsText(record, /*resources=*/true) + "\n";
     results_.push_back(QueryResult{std::move(text), std::move(value).value()});
     return Status::OK();
   }

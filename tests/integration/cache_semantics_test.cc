@@ -141,7 +141,7 @@ TEST(CacheSemantics, RepeatQueryIsAHitWithReplayedStats) {
 
   ASSERT_TRUE(interp.Execute("QUERY Infront {ahead};").ok());
   EXPECT_EQ(db.mat_cache().stats().hits, 1);
-  EXPECT_EQ(db.last_cache_stats().hits, 1);
+  EXPECT_EQ(db.last_record().cache_hits, 1u);
   ASSERT_EQ(interp.results().size(), 2u);
   EXPECT_EQ(Canonical(interp.results()[0].relation),
             Canonical(interp.results()[1].relation));
@@ -174,7 +174,7 @@ TEST(CacheSemantics, InsertChurnIsDeltaMaintainedAndMatchesRecompute) {
   ASSERT_TRUE(interp.Execute(churn).ok());
   EXPECT_EQ(db.mat_cache().stats().delta_maintained, 1);
   EXPECT_EQ(db.mat_cache().stats().hits, 0);
-  EXPECT_EQ(db.last_cache_stats().delta_maintained, 1);
+  EXPECT_EQ(db.last_record().cache_delta_hits, 1u);
 
   // The maintained result is bit-identical to a cold full recompute.
   RunOutcome cold = RunScript(std::string(kAheadProgram) + churn,

@@ -47,7 +47,7 @@ std::string StatsDigest(const EvalStats& s) {
 struct RunOutcome {
   std::vector<std::vector<std::string>> results;
   std::string last_stats_digest;
-  std::string last_usage_digest;
+  std::string last_resources_digest;
 };
 
 /// Executes `source` from scratch with events on or off and canonicalizes
@@ -64,7 +64,8 @@ RunOutcome RunScript(const std::string& source, bool events) {
     outcome.results.push_back(Canonical(r.relation));
   }
   outcome.last_stats_digest = StatsDigest(db.last_stats());
-  outcome.last_usage_digest = db.last_usage().ToText();
+  outcome.last_resources_digest =
+      FieldsText(db.last_record(), /*resources=*/true);
   return outcome;
 }
 
@@ -103,7 +104,8 @@ TEST(EventsSemantics, EveryExampleProgramIsBitIdentical) {
     RunOutcome off = RunScript(buffer.str(), /*events=*/false);
     EXPECT_EQ(on.results, off.results) << entry.path();
     EXPECT_EQ(on.last_stats_digest, off.last_stats_digest) << entry.path();
-    EXPECT_EQ(on.last_usage_digest, off.last_usage_digest) << entry.path();
+    EXPECT_EQ(on.last_resources_digest, off.last_resources_digest)
+        << entry.path();
   }
   // The corpus exists and was actually exercised.
   EXPECT_GE(examples, 5u);
@@ -169,16 +171,16 @@ TEST(EventsSemantics, CacheOutcomesAreAttributedPerQuery) {
   Interpreter interp(&db);
   ASSERT_TRUE(interp.Execute(kAheadProgram).ok());
   // Cold run: the component cache missed.
-  EXPECT_GE(db.last_usage().cache_misses, 1u);
-  EXPECT_EQ(db.last_usage().cache_hits, 0u);
-  EXPECT_GT(db.last_usage().tuples_materialized, 0u);
-  EXPECT_GT(db.last_usage().approx_bytes, 0u);
-  EXPECT_GT(db.last_usage().peak_delta_tuples, 0u);
+  EXPECT_GE(db.last_record().cache_misses, 1u);
+  EXPECT_EQ(db.last_record().cache_hits, 0u);
+  EXPECT_GT(db.last_record().tuples_materialized, 0u);
+  EXPECT_GT(db.last_record().approx_bytes, 0u);
+  EXPECT_GT(db.last_record().peak_delta_tuples, 0u);
 
   // Repeat: a hit, visible in both the attribution and the event stream.
   ASSERT_TRUE(interp.Execute("QUERY Infront {ahead};").ok());
-  EXPECT_GE(db.last_usage().cache_hits, 1u);
-  EXPECT_EQ(db.last_usage().cache_misses, 0u);
+  EXPECT_GE(db.last_record().cache_hits, 1u);
+  EXPECT_EQ(db.last_record().cache_misses, 0u);
   bool saw_cache_hit = false;
   for (const Event& e : db.events().Events()) {
     if (e.type == "cache.hit") saw_cache_hit = true;
@@ -246,19 +248,20 @@ TEST(EventsSemantics, SlowLogEntriesCarryTimestampsAndResources) {
 
 /// Attribution is deterministic across thread counts (the same contract
 /// EvalStats honours).
-TEST(EventsSemantics, ResourceUsageIsThreadCountInvariant) {
+TEST(EventsSemantics, ResourceAttributionIsThreadCountInvariant) {
   using namespace build;  // NOLINT: terse AST construction
   workload::EdgeList g = workload::RandomDigraph(48, 160, 11);
-  std::string usage_1, usage_8;
+  std::string resources_1, resources_8;
   for (size_t threads : {size_t{1}, size_t{8}}) {
     Database db;
     ASSERT_TRUE(workload::SetupClosure(&db, "g", g).ok());
     db.options().eval.exec.num_threads = threads;
     Result<Relation> r = db.EvalRange(Constructed(Rel("g_E"), "g_tc"));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    (threads == 1 ? usage_1 : usage_8) = db.last_usage().ToText();
+    (threads == 1 ? resources_1 : resources_8) =
+        FieldsText(db.last_record(), /*resources=*/true);
   }
-  EXPECT_EQ(usage_1, usage_8);
+  EXPECT_EQ(resources_1, resources_8);
 }
 
 }  // namespace

@@ -234,7 +234,7 @@ TEST(HandoffSemantics, MutatingAHandedOutResultLeavesTheCacheIntact) {
 
     Result<Relation> again = db.EvalRange(range);
     ASSERT_TRUE(again.ok()) << again.status().ToString();
-    EXPECT_GE(db.last_cache_stats().hits, 1u);
+    EXPECT_GE(db.last_record().cache_hits, 1u);
     EXPECT_EQ(again.value().SortedTuples(), expected);
     EXPECT_EQ(LogicalStats(db.last_stats()), stats);
   }

@@ -67,7 +67,7 @@ RunOutcome RunScript(const std::string& source, bool typecheck) {
     outcome.results.push_back(Canonical(r.relation));
   }
   outcome.stats = db.last_stats();
-  outcome.last_typed_proven = db.last_typed_proven();
+  outcome.last_typed_proven = db.last_record().typed_proven;
   return outcome;
 }
 
@@ -180,7 +180,7 @@ TEST(TypedSemantics, TypecheckOffAdmitsAndDemotesToChecked) {
   ASSERT_TRUE(interp.Execute("INSERT INTO Item <\"bolt\", 12>;").ok());
   Status s = interp.Execute("QUERY Item {mislabeled};");
   EXPECT_EQ(s.code(), StatusCode::kTypeError) << s.ToString();
-  EXPECT_FALSE(db.last_typed_proven());
+  EXPECT_FALSE(db.last_record().typed_proven);
 
   // Turning the pragma back on cannot retroactively prove the demoted
   // catalog: admission happened unchecked.
