@@ -44,7 +44,10 @@ echo "== trace: end-to-end trace-out + events-out + metrics-out =="
 # at PRAGMA THREADS = 4, then validate the artifact is well-formed Chrome
 # trace-event JSON carrying the span taxonomy the observability layer
 # promises: per-round fixpoint spans and parallel chunk fan-out on
-# distinct worker tracks. The same run exercises the telemetry plane:
+# distinct worker tracks. A seeded closure query (`EACH v IN Par {tc}:
+# v.front = 63`, answered by reachability from 63 alone) adds its
+# `seeded closure` span and a second per-query record for --agree. The
+# same run exercises the telemetry plane:
 # --events-out leaves a structured JSONL event stream and --metrics-out a
 # Prometheus exposition of the database's registry, both validated below,
 # separately and against each other.
@@ -59,6 +62,11 @@ echo "== trace: end-to-end trace-out + events-out + metrics-out =="
   echo "      <a.front, b.front> OF EACH a IN Par, EACH b IN Par,"
   echo "      EACH s IN Rel {sg(Par)}: a.back = s.front AND s.back = b.back"
   echo "END sg;"
+  echo "CONSTRUCTOR tc FOR Rel: pairrel (): pairrel;"
+  echo "BEGIN EACH r IN Rel: TRUE,"
+  echo "      <f.front, b.back> OF EACH f IN Rel, EACH b IN Rel {tc}:"
+  echo "        f.back = b.front"
+  echo "END tc;"
   printf "INSERT INTO Par "
   for i in $(seq 2 63); do
     printf "<%d, %d>" "$i" $((i / 2))
@@ -67,11 +75,12 @@ echo "== trace: end-to-end trace-out + events-out + metrics-out =="
   echo ";"
   echo "INSERT INTO Seed <1, 1>;"
   echo "QUERY Seed {sg(Par)};"
+  echo "QUERY {EACH v IN Par {tc}: v.front = 63};"
 } | ./build/examples/dbpl_repl --trace-out=trace.json \
       --events-out=events.jsonl --metrics-out=metrics.prom >/dev/null
 python3 scripts/check_trace.py trace.json \
   --require-span parse --require-span evaluate --require-span round \
-  --require-span fanout --require-span chunk
+  --require-span fanout --require-span chunk --require-span "seeded closure"
 python3 scripts/check_trace.py --events events.jsonl
 python3 scripts/check_trace.py --prom metrics.prom
 # The three artifacts render the same per-query records: each query.finish

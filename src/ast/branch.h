@@ -32,9 +32,14 @@ using BranchPtr = std::shared_ptr<const Branch>;
 /// tuple unchanged — the paper's `EACH r IN Rel: TRUE`.
 class Branch {
  public:
+  /// An identity branch (no target list). A separate constructor rather
+  /// than a defaulted std::nullopt argument: moving a disengaged optional
+  /// temporary trips GCC 12's -Wmaybe-uninitialized under the sanitizers.
+  Branch(std::vector<Binding> bindings, PredPtr pred)
+      : bindings_(std::move(bindings)), pred_(std::move(pred)) {}
+
   Branch(std::vector<Binding> bindings, PredPtr pred,
-         std::optional<std::vector<TermPtr>> targets = std::nullopt,
-         SourceLoc loc = {})
+         std::optional<std::vector<TermPtr>> targets, SourceLoc loc = {})
       : bindings_(std::move(bindings)),
         pred_(std::move(pred)),
         targets_(std::move(targets)),

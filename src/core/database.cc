@@ -641,23 +641,44 @@ Result<Relation> Database::Evaluate(const CalcExprPtr& expr,
                                     const Schema& schema,
                                     const Environment& params) {
   return ObservedEvaluation(*expr, nullptr, [&]() -> Result<Relation> {
-    CalcExprPtr effective = expr;
-    if (options_.inline_nonrecursive) {
-      DATACON_ASSIGN_OR_RETURN(
-          std::optional<CalcExprPtr> inlined,
-          InlineNonRecursiveApplications(effective, catalog_));
-      if (inlined.has_value()) effective = *inlined;
-    }
-
-    if (options_.use_capture_rules) {
-      DATACON_ASSIGN_OR_RETURN(std::optional<SeededTcPlan> plan,
-                               DetectSeededTc(*effective, catalog_));
-      if (plan.has_value() && SeededPlanApplies(*effective, *plan)) {
-        return ExecuteSeeded(effective, schema, params, *plan);
-      }
-    }
-    return EvaluateGeneral(effective, schema, params);
+    DATACON_ASSIGN_OR_RETURN(QueryPlan plan, PlanQuery(expr));
+    return ExecutePlan(plan, schema, params);
   });
+}
+
+Result<QueryPlan> Database::PlanQuery(const CalcExprPtr& expr) const {
+  QueryPlan plan{expr, std::nullopt, "general evaluation"};
+  if (options_.inline_nonrecursive) {
+    DATACON_ASSIGN_OR_RETURN(std::optional<CalcExprPtr> inlined,
+                             InlineNonRecursiveApplications(expr, catalog_));
+    if (inlined.has_value()) {
+      plan.expr = *inlined;
+      plan.description = "inlined non-recursive applications";
+    }
+  }
+  if (options_.use_capture_rules) {
+    DATACON_ASSIGN_OR_RETURN(std::optional<SeededTcPlan> seeded,
+                             DetectSeededTc(*plan.expr, catalog_));
+    if (seeded.has_value() && SeededPlanApplies(*plan.expr, *seeded)) {
+      plan.description =
+          "seeded transitive closure (" +
+          (seeded->seed_param.has_value()
+               ? "parameter '" + *seeded->seed_param + "'"
+               : "constant " + seeded->seed_literal->ToString()) +
+          ")";
+      plan.seeded = std::move(seeded);
+    }
+  }
+  return plan;
+}
+
+Result<Relation> Database::ExecutePlan(const QueryPlan& plan,
+                                       const Schema& schema,
+                                       const Environment& params,
+                                       bool allow_cache) {
+  return plan.seeded.has_value()
+             ? ExecuteSeeded(plan.expr, schema, params, *plan.seeded)
+             : EvaluateGeneral(plan.expr, schema, params, allow_cache);
 }
 
 Result<Relation> Database::ExecuteSeeded(const CalcExprPtr& expr,
@@ -665,15 +686,18 @@ Result<Relation> Database::ExecuteSeeded(const CalcExprPtr& expr,
                                          const Environment& params,
                                          const SeededTcPlan& plan) {
   // Constant propagation into the recursive constructor: reachability from
-  // the bound constant only, never the full closure.
+  // the bound constant only, never the full closure. The closure becomes
+  // its application node's relation, as InstallCaptures installs a full
+  // one; SeededPlanApplies leaves that node the graph's only one, so
+  // MaterializeAll has nothing left to evaluate.
   TraceSpan span("seeded closure");
   ApplicationGraph graph(&catalog_);
+  DATACON_RETURN_IF_ERROR(graph.AddRoots(*expr));
   EvalOptions eval_options = options_.eval;
   eval_options.typed_proven = TypedProven();
   SystemEvaluator ev(&catalog_, &graph, eval_options, params);
   ev.InstallEventLog(&event_log_);
   Result<Relation> result = [&]() -> Result<Relation> {
-    DATACON_RETURN_IF_ERROR(ev.MaterializeAll());
     DATACON_ASSIGN_OR_RETURN(const Relation* edges,
                              ev.Resolve(*plan.edges_range));
     Value seed;
@@ -693,37 +717,24 @@ Result<Relation> Database::ExecuteSeeded(const CalcExprPtr& expr,
       span.AddArg("edge_tuples", static_cast<int64_t>(edges->size()));
       span.AddArg("closure_tuples", static_cast<int64_t>(closure.size()));
     }
-    // The seeded closure is the plan's materialized working set.
+    // The seeded closure is the plan's working set.
     QueryRecord& record = ev.record();
-    record.tuples_materialized += closure.size();
-    record.approx_bytes += ApproxRelationBytes(closure);
     record.peak_delta_tuples =
         std::max(record.peak_delta_tuples, closure.size());
-    ProfileNode* node = nullptr;
     if (ev.profile() != nullptr) {
-      node = ev.profile()->AddChild("seeded transitive closure");
-      node->counters().Add("closure_tuples",
-                           static_cast<int64_t>(closure.size()));
+      ev.profile()
+          ->AddChild("seeded transitive closure")
+          ->counters()
+          .Add("closure_tuples", static_cast<int64_t>(closure.size()));
     }
-
-    const Branch& branch = *expr->branches()[0];
-    std::vector<ResolvedBinding> resolved;
-    for (size_t j = 0; j < branch.bindings().size(); ++j) {
-      if (j == plan.binding_index) {
-        resolved.push_back(ResolvedBinding{branch.bindings()[j].var, &closure});
-      } else {
-        DATACON_ASSIGN_OR_RETURN(const Relation* rel,
-                                 ev.Resolve(*branch.bindings()[j].range));
-        resolved.push_back(ResolvedBinding{branch.bindings()[j].var, rel});
-      }
-    }
-    Relation out(schema);
-    Evaluator eval(&ev, eval_options.typed_proven);
-    BranchExecStats exec_stats;
-    DATACON_RETURN_IF_ERROR(ExecuteBranch(branch, resolved, eval, params, &out,
-                                          &exec_stats, options_.eval.exec));
-    record.AddBranchExec(exec_stats, /*count_inserted=*/true, node);
-    return out;
+    const Range& closure_range = *expr->branches()[plan.branch_index]
+                                      ->bindings()[plan.binding_index]
+                                      .range;
+    DATACON_ASSIGN_OR_RETURN(int node, graph.FindNode(closure_range));
+    DATACON_RETURN_IF_ERROR(ev.InstallNodeRelation(
+        node, std::make_shared<Relation>(std::move(closure))));
+    DATACON_RETURN_IF_ERROR(ev.MaterializeAll());
+    return ev.EvaluateExpr(*expr, schema);
   }();
   KeepRecord(&ev);
   return result;
@@ -770,32 +781,9 @@ Result<PreparedQuery> Database::Prepare(
 
   PreparedQuery q;
   q.db_ = this;
-  q.expr_ = expr;
+  DATACON_ASSIGN_OR_RETURN(q.plan_, PlanQuery(expr));
   q.schema_ = std::move(schema);
   q.placeholders_ = std::move(placeholders);
-  q.plan_description_ = "general evaluation";
-
-  if (options_.inline_nonrecursive) {
-    DATACON_ASSIGN_OR_RETURN(std::optional<CalcExprPtr> inlined,
-                             InlineNonRecursiveApplications(q.expr_, catalog_));
-    if (inlined.has_value()) {
-      q.expr_ = *inlined;
-      q.plan_description_ = "inlined non-recursive applications";
-    }
-  }
-  if (options_.use_capture_rules) {
-    DATACON_ASSIGN_OR_RETURN(std::optional<SeededTcPlan> plan,
-                             DetectSeededTc(*q.expr_, catalog_));
-    if (plan.has_value() && SeededPlanApplies(*q.expr_, *plan)) {
-      q.seeded_plan_ = std::move(plan);
-      q.plan_description_ =
-          "seeded transitive closure (" +
-          (q.seeded_plan_->seed_param.has_value()
-               ? "parameter '" + *q.seeded_plan_->seed_param + "'"
-               : "constant " + q.seeded_plan_->seed_literal->ToString()) +
-          ")";
-    }
-  }
   return q;
 }
 
@@ -824,10 +812,8 @@ Result<Relation> PreparedQuery::Execute(
   // The plan was chosen at Prepare time (level 2); Execute runs level 3
   // only — no re-detection, no re-inlining. Observability wraps it the
   // same way Database::Evaluate wraps ad-hoc queries.
-  return db_->ObservedEvaluation(*expr_, &plan_description_, [&] {
-    return seeded_plan_.has_value()
-               ? db_->ExecuteSeeded(expr_, schema_, env, *seeded_plan_)
-               : db_->EvaluateGeneral(expr_, schema_, env, !cache_bypass_);
+  return db_->ObservedEvaluation(*plan_.expr, &plan_.description, [&] {
+    return db_->ExecutePlan(plan_, schema_, env, !cache_bypass_);
   });
 }
 

@@ -97,8 +97,16 @@ struct EvaluationRecord : QueryRecord {
   std::string plan;
 };
 
-/// A compiled parameterized query form. Holds the instantiated application
-/// graph and any seeded-closure plan; Execute supplies the constants.
+/// A query's level-2 plan: the expression after inlining, the seeded-closure
+/// plan when one applies, and the one-line description naming the choice.
+struct QueryPlan {
+  CalcExprPtr expr;
+  std::optional<SeededTcPlan> seeded;
+  std::string description;
+};
+
+/// A compiled parameterized query form. Holds the chosen plan; Execute
+/// supplies the constants.
 class PreparedQuery {
  public:
   /// Runs the compiled form with the given parameter values.
@@ -106,7 +114,7 @@ class PreparedQuery {
 
   /// One line describing the chosen plan ("seeded transitive closure on
   /// parameter 'p'" / "general evaluation").
-  const std::string& plan_description() const { return plan_description_; }
+  const std::string& plan_description() const { return plan_.description; }
 
   const Schema& result_schema() const { return schema_; }
 
@@ -115,11 +123,9 @@ class PreparedQuery {
   PreparedQuery() = default;
 
   Database* db_ = nullptr;
-  CalcExprPtr expr_;
+  QueryPlan plan_;
   Schema schema_;
   std::map<std::string, ValueType> placeholders_;
-  std::optional<SeededTcPlan> seeded_plan_;
-  std::string plan_description_;
   // Constraint checks set this: checking must be invisible, so even a
   // parameterless denial may neither read nor warm the materialization
   // cache (a warmed entry would change later queries' replayed stats).
@@ -369,7 +375,21 @@ class Database {
   /// evicting beyond kRetainedProfiles.
   void StoreProfile(std::unique_ptr<ProfileNode> profile);
 
-  /// Level-3 execution of a seeded-closure plan (no re-detection).
+  /// The one plan choice of Evaluate and Prepare (level 2): inlines
+  /// non-recursive applications (when enabled), detects a seeded-closure
+  /// plan that SeededPlanApplies admits (with capture rules on), and names
+  /// the result.
+  Result<QueryPlan> PlanQuery(const CalcExprPtr& expr) const;
+
+  /// Level-3 execution of a chosen plan (no re-detection): ExecuteSeeded or
+  /// EvaluateGeneral.
+  Result<Relation> ExecutePlan(const QueryPlan& plan, const Schema& schema,
+                               const Environment& params,
+                               bool allow_cache = true);
+
+  /// Level-3 execution of a seeded-closure plan: installs the closure of
+  /// the seed as its application node's relation, then evaluates the query
+  /// like any other.
   Result<Relation> ExecuteSeeded(const CalcExprPtr& expr, const Schema& schema,
                                  const Environment& params,
                                  const SeededTcPlan& plan);

@@ -198,19 +198,6 @@ std::string SystemEvaluator::ComponentLabel(
   return label + "]";
 }
 
-Status SystemEvaluator::InstallNodeRelation(int node,
-                                            std::unique_ptr<Relation> rel) {
-  if (materialized_) {
-    return Status::Internal("InstallNodeRelation after MaterializeAll");
-  }
-  if (node < 0 || static_cast<size_t>(node) >= totals_.size()) {
-    return Status::InvalidArgument("no application node " +
-                                   std::to_string(node));
-  }
-  totals_[static_cast<size_t>(node)] = std::move(rel);
-  return Status::OK();
-}
-
 Status SystemEvaluator::InstallNodeRelation(
     int node, std::shared_ptr<const Relation> rel) {
   if (materialized_) {
@@ -335,7 +322,6 @@ Status SystemEvaluator::MaterializeAll() {
           // with CACHE OFF) and drop the entry.
           record_.stats = before;
           for (int n : members) totals_[static_cast<size_t>(n)] = nullptr;
-          overrides_.clear();
           iterating_nodes_.clear();
           scratch_.clear();
           cache_->InvalidateAfterFailure(ck->key);
@@ -486,9 +472,8 @@ Status SystemEvaluator::NaiveFixpoint(const std::vector<int>& component) {
   ProfileNode* comp_node = cur_;
 
   // Section 3.1: Ahead := {}; Above := {}.
-  for (int n : component) {
-    totals_[static_cast<size_t>(n)] = std::make_unique<Relation>(
-        graph_->nodes()[static_cast<size_t>(n)].result_schema);
+  for (auto& [n, empty] : EmptyRelations(component)) {
+    totals_[static_cast<size_t>(n)] = std::move(empty);
   }
 
   // REPEAT  Oldahead := Ahead; ...; Ahead := ahead_fct(Oldahead, Oldabove);
@@ -505,29 +490,25 @@ Status SystemEvaluator::NaiveFixpoint(const std::vector<int>& component) {
           " iterations (a non-monotonic system such as section 3.3's "
           "'nonsense' has no limit)");
     }
-    std::vector<std::unique_ptr<Relation>> fresh;
-    fresh.reserve(component.size());
+    NodeRelations fresh = EmptyRelations(component);
     for (int n : component) {
-      auto rel = std::make_unique<Relation>(
-          graph_->nodes()[static_cast<size_t>(n)].result_schema);
-      DATACON_RETURN_IF_ERROR(EvaluateNodeBody(n, rel.get()));
-      fresh.push_back(std::move(rel));
+      DATACON_RETURN_IF_ERROR(EvaluateNodeBody(n, fresh[n].get()));
     }
 
     bool changed = false;
-    for (size_t i = 0; i < component.size(); ++i) {
-      if (!fresh[i]->SameTuples(*totals_[static_cast<size_t>(component[i])])) {
+    for (int n : component) {
+      if (!fresh[n]->SameTuples(*totals_[static_cast<size_t>(n)])) {
         changed = true;
         break;
       }
     }
     scope.Close(component, "total", "total_tuples",
-                [&](size_t i) { return fresh[i]->size(); });
+                [&](size_t i) { return fresh[component[i]]->size(); });
     if (scope.span().active()) {
       scope.span().AddArg("changed", changed ? int64_t{1} : int64_t{0});
     }
-    for (size_t i = 0; i < component.size(); ++i) {
-      totals_[static_cast<size_t>(component[i])] = std::move(fresh[i]);
+    for (auto& [n, rel] : fresh) {
+      totals_[static_cast<size_t>(n)] = std::move(rel);
     }
     if (!changed) break;
   }
@@ -539,8 +520,7 @@ Status SystemEvaluator::NaiveFixpoint(const std::vector<int>& component) {
 }
 
 Result<std::vector<SystemEvaluator::BranchInfo>>
-SystemEvaluator::AnalyzeComponentBranches(const std::vector<int>& component,
-                                          const std::set<int>& in_component) {
+SystemEvaluator::AnalyzeComponentBranches(const std::vector<int>& component) {
   // Pre-analyze each branch: which bindings are recursive (range over an
   // in-component application) and whether the predicate itself references
   // the component (through a quantifier or membership range), which makes
@@ -562,7 +542,7 @@ SystemEvaluator::AnalyzeComponentBranches(const std::vector<int>& component,
         if (split.ctor_head.has_value()) {
           DATACON_ASSIGN_OR_RETURN(int found,
                                    graph_->FindNode(**split.ctor_head));
-          if (in_component.count(found) > 0) {
+          if (iterating_nodes_.count(found) > 0) {
             id = found;
             info.recursive = true;
           }
@@ -579,7 +559,7 @@ SystemEvaluator::AnalyzeComponentBranches(const std::vector<int>& component,
               scan_status = found.status();
               return;
             }
-            if (in_component.count(found.value()) > 0) {
+            if (iterating_nodes_.count(found.value()) > 0) {
               info.differentiable = false;
               info.recursive = true;
             }
@@ -591,54 +571,37 @@ SystemEvaluator::AnalyzeComponentBranches(const std::vector<int>& component,
   return infos;
 }
 
-Result<const Relation*> SystemEvaluator::WithTrailing(const Relation* base,
-                                                      const Range& range) {
-  RangeSplit split = SplitAtLastConstructor(range);
-  const Relation* current = base;
-  for (const RangeApp& app : split.trailing_selectors) {
-    DATACON_ASSIGN_OR_RETURN(std::unique_ptr<Relation> filtered,
-                             ApplySelector(*current, app));
-    scratch_.push_back(std::move(filtered));
-    current = scratch_.back().get();
+SystemEvaluator::NodeRelations SystemEvaluator::EmptyRelations(
+    const std::vector<int>& component) const {
+  NodeRelations out;
+  for (int n : component) {
+    out[n] = std::make_unique<Relation>(
+        graph_->nodes()[static_cast<size_t>(n)].result_schema);
   }
-  return current;
+  return out;
 }
 
 Status SystemEvaluator::SemiNaiveFixpoint(const std::vector<int>& component) {
   iterating_nodes_.clear();
   iterating_nodes_.insert(component.begin(), component.end());
-  std::set<int> in_component(component.begin(), component.end());
   ProfileNode* comp_node = cur_;
 
   DATACON_ASSIGN_OR_RETURN(std::vector<BranchInfo> infos,
-                           AnalyzeComponentBranches(component, in_component));
+                           AnalyzeComponentBranches(component));
 
-  // Round 0: evaluate every body with in-component references bound to the
-  // empty relation — f(EMPTY), the seed of the Tarski iteration.
-  std::vector<std::unique_ptr<Relation>> empties;
-  for (int n : component) {
-    totals_[static_cast<size_t>(n)] = std::make_unique<Relation>(
-        graph_->nodes()[static_cast<size_t>(n)].result_schema);
-    empties.push_back(std::make_unique<Relation>(
-        graph_->nodes()[static_cast<size_t>(n)].result_schema));
+  // Round 1 evaluates every body over the still-empty totals — f(∅), the
+  // seed of the Tarski iteration — and folds like every later round.
+  for (auto& [n, empty] : EmptyRelations(component)) {
+    totals_[static_cast<size_t>(n)] = std::move(empty);
   }
-  for (size_t i = 0; i < component.size(); ++i) {
-    overrides_[component[i]] = empties[i].get();
-  }
-  std::map<int, std::unique_ptr<Relation>> deltas;
+  NodeRelations deltas = EmptyRelations(component);
   {
     RoundScope scope(this, comp_node, 1, "seed");
     for (int n : component) {
-      auto raw = std::make_unique<Relation>(
-          graph_->nodes()[static_cast<size_t>(n)].result_schema);
-      DATACON_RETURN_IF_ERROR(EvaluateNodeBody(n, raw.get()));
-      // T := f(∅): the total starts as a whole-set copy of the seed delta.
-      *totals_[static_cast<size_t>(n)] = *raw;
-      deltas[n] = std::move(raw);
+      DATACON_RETURN_IF_ERROR(
+          EvaluateNodeBody(n, deltas[n].get(), /*count_inserted=*/false));
     }
-    overrides_.clear();
-    scope.Close(component, "delta", "inserts",
-                [&](size_t i) { return deltas[component[i]]->size(); });
+    DATACON_RETURN_IF_ERROR(FoldDeltas(component, &deltas, &scope));
   }
 
   size_t round = 1;
@@ -648,11 +611,12 @@ Status SystemEvaluator::SemiNaiveFixpoint(const std::vector<int>& component) {
   return Status::OK();
 }
 
-Status SystemEvaluator::DifferentialRounds(
-    const std::vector<int>& component, const std::vector<BranchInfo>& infos,
-    std::map<int, std::unique_ptr<Relation>>* deltas_io,
-    ProfileNode* comp_node, size_t* round_io) {
-  std::map<int, std::unique_ptr<Relation>>& deltas = *deltas_io;
+Status SystemEvaluator::DifferentialRounds(const std::vector<int>& component,
+                                           const std::vector<BranchInfo>& infos,
+                                           NodeRelations* deltas_io,
+                                           ProfileNode* comp_node,
+                                           size_t* round_io) {
+  NodeRelations& deltas = *deltas_io;
   // Differential rounds. The per-component round budget mirrors
   // NaiveFixpoint: `round` is local to this component (stats.iterations
   // accumulates across ALL components and must not feed the bound); the
@@ -684,94 +648,28 @@ Status SystemEvaluator::DifferentialRounds(
       scope.span().AddArg("delta", prev_delta);
     }
 
-    // Lazily computed pre-round approximations T_old = T \ delta, used by
-    // recursive occurrences *before* the delta occurrence (see below).
-    std::map<int, std::unique_ptr<Relation>> olds;
-    auto old_of = [&](int node) -> Result<const Relation*> {
-      auto it = olds.find(node);
-      if (it != olds.end()) return it->second.get();
-      auto old_rel = std::make_unique<Relation>(
-          graph_->nodes()[static_cast<size_t>(node)].result_schema);
-      for (const Tuple& t : totals_[static_cast<size_t>(node)]->tuples()) {
-        if (deltas[node]->Contains(t)) continue;
-        DATACON_ASSIGN_OR_RETURN(bool inserted, InsertDerived(old_rel.get(), t));
-        (void)inserted;
-      }
-      const Relation* result = old_rel.get();
-      olds[node] = std::move(old_rel);
-      return result;
-    };
-
-    std::map<int, std::unique_ptr<Relation>> raws;
-    for (int n : component) {
-      raws[n] = std::make_unique<Relation>(
-          graph_->nodes()[static_cast<size_t>(n)].result_schema);
-    }
-
+    OldRelations olds;
+    NodeRelations raws = EmptyRelations(component);
     for (const BranchInfo& info : infos) {
-      if (!info.recursive) continue;  // contributes in round 0 only
+      if (!info.recursive) continue;  // contributes in round 1 only
       Relation* out = raws[info.owner].get();
       if (!info.differentiable) {
-        // Insertions land in a scratch `raws` relation and are counted from
-        // the deduplicated deltas below — counting exec.inserted here too
-        // would double-count.
         DATACON_RETURN_IF_ERROR(EvaluateBranch(*info.branch, out,
                                                /*count_inserted=*/false,
                                                info.owner, info.branch_index));
         continue;
       }
-      // The standard non-linear differential rewrite: one evaluation per
-      // recursive binding occurrence i, where occurrence i ranges over the
-      // last round's delta, recursive occurrences before it over the
-      // pre-round approximation T_old = T \ delta, and recursive
-      // occurrences after it (plus all non-recursive bindings) over the
-      // full current approximation T. The union over i covers every
-      // combination with at least one new tuple exactly once — using the
-      // full T on *both* sides would re-derive all-new-tuple combinations
-      // once per occurrence, inflating tuples_considered (the results were
-      // still correct, since the output is a set).
-      const std::vector<Binding>& bindings = info.branch->bindings();
-      for (size_t i = 0; i < bindings.size(); ++i) {
-        if (info.binding_nodes[i] < 0) continue;
-        std::vector<ResolvedBinding> resolved;
-        resolved.reserve(bindings.size());
-        for (size_t j = 0; j < bindings.size(); ++j) {
-          const Relation* rel = nullptr;
-          if (j == i) {
-            // The delta occurrence, with any trailing selectors applied.
-            DATACON_ASSIGN_OR_RETURN(
-                rel, WithTrailing(deltas[info.binding_nodes[i]].get(),
-                                  *bindings[j].range));
-          } else if (info.binding_nodes[j] >= 0 && j < i) {
-            DATACON_ASSIGN_OR_RETURN(const Relation* old_rel,
-                                     old_of(info.binding_nodes[j]));
-            DATACON_ASSIGN_OR_RETURN(
-                rel, WithTrailing(old_rel, *bindings[j].range));
-          } else {
-            DATACON_ASSIGN_OR_RETURN(rel, Resolve(*bindings[j].range));
-          }
-          DATACON_ASSIGN_OR_RETURN(
-              rel, FilteredBinding(info.owner, info.branch_index, j, rel));
-          resolved.push_back(ResolvedBinding{bindings[j].var, rel});
-        }
-        Evaluator eval(this, options_.typed_proven);
-        BranchExecStats exec_stats;
-        DATACON_RETURN_IF_ERROR(ExecuteBranch(*info.branch, resolved, eval,
-                                              params_, out, &exec_stats,
-                                              options_.exec));
-        record_.AddBranchExec(exec_stats, /*count_inserted=*/false, cur_);
+      std::vector<ChangedSource> changed(info.binding_nodes.size());
+      for (size_t j = 0; j < changed.size(); ++j) {
+        const int node = info.binding_nodes[j];
+        if (node < 0) continue;
+        changed[j] = {totals_[static_cast<size_t>(node)].get(),
+                      deltas[node].get()};
       }
+      DATACON_RETURN_IF_ERROR(DifferentialBranch(info, changed, &olds, out));
     }
-
-    bool grew = false;
-    for (int n : component) {
-      DATACON_ASSIGN_OR_RETURN(deltas[n],
-                               FoldDelta(n, std::move(raws[n]), comp_node));
-      if (!deltas[n]->empty()) grew = true;
-    }
-    scope.Close(component, "delta", "inserts",
-                [&](size_t i) { return deltas[component[i]]->size(); });
-    if (!grew) break;
+    DATACON_RETURN_IF_ERROR(FoldDeltas(component, &raws, &scope));
+    deltas = std::move(raws);
   }
 
   *round_io = round;
@@ -781,19 +679,70 @@ Status SystemEvaluator::DifferentialRounds(
   return Status::OK();
 }
 
-Result<std::unique_ptr<Relation>> SystemEvaluator::FoldDelta(
-    int node, std::unique_ptr<Relation> raw, const ProfileNode* comp_node) {
-  Relation* total = totals_[static_cast<size_t>(node)].get();
-  raw->Subtract(*total);
-  if (!raw->empty()) {
-    DATACON_RETURN_IF_ERROR(total->InsertAll(*raw));
-    record_.stats.tuples_inserted += raw->size();
-    if (cur_ != nullptr && cur_ != comp_node) {
-      cur_->counters().Add("tuples_inserted",
-                           static_cast<int64_t>(raw->size()));
+Status SystemEvaluator::DifferentialBranch(
+    const BranchInfo& info, const std::vector<ChangedSource>& changed,
+    OldRelations* olds, Relation* out) {
+  // The standard non-linear differential rewrite: one evaluation per
+  // changed occurrence i, where occurrence i ranges over its delta, changed
+  // occurrences before it over the pre-change relation old = all \ delta,
+  // and changed occurrences after it (plus all unchanged bindings) over the
+  // current relation. The union over i covers every combination with at
+  // least one new tuple exactly once — using the current relation on *both*
+  // sides would re-derive all-new-tuple combinations once per occurrence,
+  // inflating tuples_considered (the results were still correct, since the
+  // output is a set).
+  size_t last = 0;
+  for (size_t i = 0; i < changed.size(); ++i) {
+    if (changed[i].delta != nullptr) last = i;
+  }
+  std::vector<const Relation*> supplied(changed.size(), nullptr);
+  for (size_t i = 0; i < changed.size(); ++i) {
+    if (changed[i].delta == nullptr) continue;
+    supplied[i] = changed[i].delta;
+    DATACON_RETURN_IF_ERROR(EvaluateBranch(*info.branch, out,
+                                           /*count_inserted=*/false,
+                                           info.owner, info.branch_index,
+                                           supplied));
+    if (i < last) {
+      // Every later changed occurrence reads this one as old.
+      DATACON_ASSIGN_OR_RETURN(supplied[i], OldOf(changed[i], olds));
     }
   }
-  return raw;
+  return Status::OK();
+}
+
+Result<const Relation*> SystemEvaluator::OldOf(const ChangedSource& source,
+                                               OldRelations* olds) const {
+  std::unique_ptr<Relation>& old = (*olds)[source.delta];
+  if (old != nullptr) return old.get();
+  old = std::make_unique<Relation>(source.all->schema());
+  for (const Tuple& t : source.all->tuples()) {
+    if (source.delta->Contains(t)) continue;
+    DATACON_ASSIGN_OR_RETURN(bool inserted, InsertDerived(old.get(), t));
+    (void)inserted;
+  }
+  return old.get();
+}
+
+Status SystemEvaluator::FoldDeltas(const std::vector<int>& component,
+                                   NodeRelations* raws, RoundScope* scope) {
+  for (int n : component) {
+    // Raw minus the current total is the member's new delta — computed in
+    // place, so no tuple is copied — and is folded into the total.
+    Relation& delta = *(*raws)[n];
+    Relation* total = totals_[static_cast<size_t>(n)].get();
+    delta.Subtract(*total);
+    if (delta.empty()) continue;
+    DATACON_RETURN_IF_ERROR(total->InsertAll(delta));
+    record_.stats.tuples_inserted += delta.size();
+    if (cur_ != nullptr) {
+      cur_->counters().Add("tuples_inserted",
+                           static_cast<int64_t>(delta.size()));
+    }
+  }
+  scope->Close(component, "delta", "inserts",
+               [&](size_t i) { return (*raws)[component[i]]->size(); });
+  return Status::OK();
 }
 
 std::optional<SystemEvaluator::ComponentCacheKey> SystemEvaluator::CacheKeyFor(
@@ -948,36 +897,23 @@ std::vector<CachedRelation> SystemEvaluator::SnapshotMembers(
 Status SystemEvaluator::MaintainComponent(const std::vector<int>& component,
                                           const CacheLookup& found) {
   ProfileNode* comp_node = cur_;
-  std::set<int> in_component(component.begin(), component.end());
 
   // Mutable working copies — the cached relations themselves stay
   // immutable (the entry keeps referencing them until NoteMaintained swaps
   // in the refreshed snapshot).
+  DATACON_RETURN_IF_ERROR(InstallCachedMembers(component, found.members));
   for (int n : component) {
-    const std::string& key = graph_->nodes()[static_cast<size_t>(n)].key;
-    const CachedRelation* member = nullptr;
-    for (const CachedRelation& m : found.members) {
-      if (m.node_key == key) {
-        member = &m;
-        break;
-      }
-    }
-    if (member == nullptr || member->relation == nullptr) {
-      return Status::Internal("cache entry lacks member '" + key + "'");
-    }
-    totals_[static_cast<size_t>(n)] =
-        std::make_shared<Relation>(*member->relation);
+    std::shared_ptr<Relation>& total = totals_[static_cast<size_t>(n)];
+    total = std::make_shared<Relation>(*total);
   }
   iterating_nodes_.clear();
   iterating_nodes_.insert(component.begin(), component.end());
 
   DATACON_ASSIGN_OR_RETURN(std::vector<BranchInfo> infos,
-                           AnalyzeComponentBranches(component, in_component));
+                           AnalyzeComponentBranches(component));
 
-  // The inserted tuples of each changed base, plus the base's pre-change
-  // contents (current minus delta) for the differential rewrite.
-  std::map<std::string, std::unique_ptr<Relation>> delta_rels;
-  std::map<std::string, std::unique_ptr<Relation>> old_rels;
+  // The inserted tuples of each changed base.
+  std::map<std::string, std::unique_ptr<Relation>> base_deltas;
   for (const CacheInputDelta& d : found.deltas) {
     DATACON_ASSIGN_OR_RETURN(const Relation* base,
                              catalog_->LookupRelation(d.relation));
@@ -986,93 +922,59 @@ Status SystemEvaluator::MaintainComponent(const std::vector<int>& component,
       DATACON_ASSIGN_OR_RETURN(bool inserted, InsertDerived(delta.get(), t));
       (void)inserted;
     }
-    auto old_rel = std::make_unique<Relation>(base->schema());
-    for (const Tuple& t : base->tuples()) {
-      if (delta->Contains(t)) continue;
-      DATACON_ASSIGN_OR_RETURN(bool inserted, InsertDerived(old_rel.get(), t));
-      (void)inserted;
-    }
-    delta_rels[d.relation] = std::move(delta);
-    old_rels[d.relation] = std::move(old_rel);
+    base_deltas[d.relation] = std::move(delta);
   }
+  // The inserted tuples of the base a constructor-free range reads, or null
+  // when that base did not change.
+  auto changed_base = [&](const Range& range) -> const Relation* {
+    RangeSplit split = SplitAtLastConstructor(range);
+    if (split.ctor_head.has_value()) return nullptr;
+    auto it = base_deltas.find(split.base_relation);
+    return it != base_deltas.end() ? it->second.get() : nullptr;
+  };
 
-  // Seed round: derive exactly the tuples the base inserts enable. For each
-  // branch reading a changed base, the standard non-linear rewrite over the
-  // changed *base* occurrences (DifferentialRounds then propagates through
-  // the derived relations): occurrence i reads the base delta, changed
-  // occurrences before it the pre-change base, everything else the current
-  // state — including the full cached approximations of recursive bindings.
-  std::map<int, std::unique_ptr<Relation>> deltas;
+  // Seed round: derive exactly the tuples the base inserts enable — the
+  // differential rewrite over each branch's changed *base* occurrences
+  // (DifferentialRounds then propagates through the derived relations).
+  // Every other occurrence reads the current state, including the full
+  // cached approximations of recursive bindings.
+  NodeRelations deltas = EmptyRelations(component);
   {
     RoundScope scope(this, comp_node, 1, "maintain");
-    std::map<int, std::unique_ptr<Relation>> raws;
-    for (int n : component) {
-      raws[n] = std::make_unique<Relation>(
-          graph_->nodes()[static_cast<size_t>(n)].result_schema);
-    }
+    OldRelations olds;
     for (const BranchInfo& info : infos) {
       const std::vector<Binding>& bindings = info.branch->bindings();
-      std::set<size_t> changed;
+      std::vector<ChangedSource> changed(bindings.size());
+      bool any_changed = false;
       for (size_t j = 0; j < bindings.size(); ++j) {
-        if (info.binding_nodes[j] >= 0) continue;
-        RangeSplit split = SplitAtLastConstructor(*bindings[j].range);
-        if (!split.ctor_head.has_value() &&
-            delta_rels.count(split.base_relation) > 0) {
-          changed.insert(j);
-        }
+        const Relation* delta = changed_base(*bindings[j].range);
+        if (delta == nullptr) continue;
+        DATACON_ASSIGN_OR_RETURN(
+            changed[j].all,
+            catalog_->LookupRelation(bindings[j].range->relation()));
+        changed[j].delta = delta;
+        any_changed = true;
       }
       bool pred_touches = false;
       ForEachRangeWithParity(*info.branch->pred(), 0,
                              [&](const Range& r, int /*parity*/) {
-                               RangeSplit split = SplitAtLastConstructor(r);
-                               if (!split.ctor_head.has_value() &&
-                                   delta_rels.count(split.base_relation) > 0) {
+                               if (changed_base(r) != nullptr) {
                                  pred_touches = true;
                                }
                              });
-      if (changed.empty() && !pred_touches) continue;
-      Relation* out = raws[info.owner].get();
+      if (!any_changed && !pred_touches) continue;
+      Relation* out = deltas[info.owner].get();
       if (pred_touches || !info.differentiable) {
         // No differential form through the predicate; re-derive the branch
-        // in full — the raw−total subtraction below keeps only new tuples.
+        // in full — the raw−total fold keeps only new tuples.
         DATACON_RETURN_IF_ERROR(EvaluateBranch(*info.branch, out,
                                                /*count_inserted=*/false,
                                                info.owner, info.branch_index));
         continue;
       }
-      for (size_t i : changed) {
-        std::vector<ResolvedBinding> resolved;
-        resolved.reserve(bindings.size());
-        for (size_t j = 0; j < bindings.size(); ++j) {
-          const Relation* rel = nullptr;
-          if (j == i || (j < i && changed.count(j) > 0)) {
-            RangeSplit split = SplitAtLastConstructor(*bindings[j].range);
-            const Relation* base =
-                (j == i ? delta_rels : old_rels)[split.base_relation].get();
-            DATACON_ASSIGN_OR_RETURN(rel,
-                                     WithTrailing(base, *bindings[j].range));
-          } else {
-            DATACON_ASSIGN_OR_RETURN(rel, Resolve(*bindings[j].range));
-          }
-          DATACON_ASSIGN_OR_RETURN(
-              rel, FilteredBinding(info.owner, info.branch_index, j, rel));
-          resolved.push_back(ResolvedBinding{bindings[j].var, rel});
-        }
-        Evaluator eval(this, options_.typed_proven);
-        BranchExecStats exec_stats;
-        DATACON_RETURN_IF_ERROR(ExecuteBranch(*info.branch, resolved, eval,
-                                              params_, out, &exec_stats,
-                                              options_.exec));
-        record_.AddBranchExec(exec_stats, /*count_inserted=*/false, cur_);
-      }
+      DATACON_RETURN_IF_ERROR(DifferentialBranch(info, changed, &olds, out));
     }
-
-    for (int n : component) {
-      DATACON_ASSIGN_OR_RETURN(deltas[n],
-                               FoldDelta(n, std::move(raws[n]), comp_node));
-    }
-    scope.Close(component, "delta", "inserts",
-                [&](size_t i) { return deltas[component[i]]->size(); });
+    DATACON_RETURN_IF_ERROR(FoldDeltas(component, &deltas, &scope));
   }
 
   bool any_recursive = false;
@@ -1088,12 +990,13 @@ Status SystemEvaluator::MaintainComponent(const std::vector<int>& component,
   return Status::OK();
 }
 
-Status SystemEvaluator::EvaluateNodeBody(int node, Relation* out) {
+Status SystemEvaluator::EvaluateNodeBody(int node, Relation* out,
+                                         bool count_inserted) {
   const ApplicationGraph::Node& n = graph_->nodes()[static_cast<size_t>(node)];
   const std::vector<BranchPtr>& branches = n.body->branches();
   for (size_t bi = 0; bi < branches.size(); ++bi) {
-    DATACON_RETURN_IF_ERROR(EvaluateBranch(*branches[bi], out,
-                                           /*count_inserted=*/true, node, bi));
+    DATACON_RETURN_IF_ERROR(
+        EvaluateBranch(*branches[bi], out, count_inserted, node, bi));
   }
   return Status::OK();
 }
@@ -1134,14 +1037,20 @@ Result<const Relation*> SystemEvaluator::FilteredBinding(
   return scratch_.back().get();
 }
 
-Status SystemEvaluator::EvaluateBranch(const Branch& branch, Relation* out,
-                                       bool count_inserted, int node,
-                                       size_t branch_index) {
+Status SystemEvaluator::EvaluateBranch(
+    const Branch& branch, Relation* out, bool count_inserted, int node,
+    size_t branch_index, const std::vector<const Relation*>& supplied) {
   std::vector<ResolvedBinding> resolved;
   resolved.reserve(branch.bindings().size());
   for (size_t j = 0; j < branch.bindings().size(); ++j) {
     const Binding& b = branch.bindings()[j];
-    DATACON_ASSIGN_OR_RETURN(const Relation* rel, Resolve(*b.range));
+    const Relation* rel = nullptr;
+    if (j < supplied.size() && supplied[j] != nullptr) {
+      DATACON_ASSIGN_OR_RETURN(
+          rel, ApplyTrailing(supplied[j], SplitAtLastConstructor(*b.range)));
+    } else {
+      DATACON_ASSIGN_OR_RETURN(rel, Resolve(*b.range));
+    }
     DATACON_ASSIGN_OR_RETURN(rel, FilteredBinding(node, branch_index, j, rel));
     resolved.push_back(ResolvedBinding{b.var, rel});
   }
@@ -1160,18 +1069,12 @@ Result<const Relation*> SystemEvaluator::Resolve(const Range& range) const {
 
   if (split.ctor_head.has_value()) {
     DATACON_ASSIGN_OR_RETURN(int node, graph_->FindNode(**split.ctor_head));
-    auto ov = overrides_.find(node);
-    if (ov != overrides_.end()) {
-      base = ov->second;
-      stable = false;
-    } else {
-      if (totals_[static_cast<size_t>(node)] == nullptr) {
-        return Status::Internal("application '" + ToString(**split.ctor_head) +
-                                "' resolved before materialization");
-      }
-      base = totals_[static_cast<size_t>(node)].get();
-      if (iterating_nodes_.count(node) > 0) stable = false;
+    if (totals_[static_cast<size_t>(node)] == nullptr) {
+      return Status::Internal("application '" + ToString(**split.ctor_head) +
+                              "' resolved before materialization");
     }
+    base = totals_[static_cast<size_t>(node)].get();
+    stable = iterating_nodes_.count(node) == 0;
   } else {
     DATACON_ASSIGN_OR_RETURN(base, catalog_->LookupRelation(split.base_relation));
   }
@@ -1184,13 +1087,8 @@ Result<const Relation*> SystemEvaluator::Resolve(const Range& range) const {
     if (it != source_cache_.end()) return it->second.get();
   }
 
-  const Relation* current = base;
-  std::unique_ptr<Relation> owned;
-  for (const RangeApp& app : split.trailing_selectors) {
-    DATACON_ASSIGN_OR_RETURN(owned, ApplySelector(*current, app));
-    current = owned.get();
-    scratch_.push_back(std::move(owned));
-  }
+  DATACON_ASSIGN_OR_RETURN(const Relation* current,
+                           ApplyTrailing(base, split));
   // The final filtered relation lives in scratch_; promote it to the cache
   // when the source is stable.
   if (stable) {
@@ -1199,6 +1097,17 @@ Result<const Relation*> SystemEvaluator::Resolve(const Range& range) const {
     return source_cache_[key].get();
   }
   return current;
+}
+
+Result<const Relation*> SystemEvaluator::ApplyTrailing(
+    const Relation* base, const RangeSplit& split) const {
+  for (const RangeApp& app : split.trailing_selectors) {
+    DATACON_ASSIGN_OR_RETURN(std::unique_ptr<Relation> filtered,
+                             ApplySelector(*base, app));
+    scratch_.push_back(std::move(filtered));
+    base = scratch_.back().get();
+  }
+  return base;
 }
 
 Result<std::unique_ptr<Relation>> SystemEvaluator::ApplySelector(

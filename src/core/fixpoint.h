@@ -204,14 +204,12 @@ class SystemEvaluator : public RelationResolver {
 
   /// Pre-installs an externally computed relation for `node` — the hook
   /// used by capture rules (section 4): a recognized special case (e.g.
-  /// transitive closure) is materialized by a specialized algorithm and the
-  /// generic fixpoint skips it. Must be called before MaterializeAll.
-  Status InstallNodeRelation(int node, std::unique_ptr<Relation> rel);
-
-  /// Same, sharing an externally cached materialization without copying.
-  /// The relation is treated as immutable — the evaluator reads it but
-  /// never mutates it (the cache may hand the same object to later
-  /// evaluations). Once the evaluator holds the only reference, the
+  /// transitive closure, full or seeded) is materialized by a specialized
+  /// algorithm and the generic fixpoint skips it. Must be called before
+  /// MaterializeAll. The relation is shared without copying (a
+  /// std::unique_ptr converts) and treated as immutable — the evaluator
+  /// reads it but never mutates it (the cache may hand the same object to
+  /// later evaluations). Once the evaluator holds the only reference, the
   /// relation is its own, and EvaluateExpr may hand it off by move.
   Status InstallNodeRelation(int node, std::shared_ptr<const Relation> rel);
 
@@ -266,12 +264,14 @@ class SystemEvaluator : public RelationResolver {
   const EvalStats& stats() const { return record_.stats; }
 
   /// The record so far (complete after MaterializeAll + EvaluateExpr). The
-  /// database layer also counts capture and seeded-closure work through it.
+  /// database layer also counts capture-rule cache outcomes and the seeded
+  /// closure's working-set peak through it.
   QueryRecord& record() { return record_; }
   const QueryRecord& record() const { return record_; }
 
   /// The profile tree collected so far (null unless options.profile). The
-  /// database layer also appends capture-rule nodes through this.
+  /// database layer also appends capture-rule and seeded-closure nodes
+  /// through this.
   ProfileNode* profile() { return profile_.get(); }
   const ProfileNode* profile() const { return profile_.get(); }
 
@@ -280,6 +280,9 @@ class SystemEvaluator : public RelationResolver {
   std::unique_ptr<ProfileNode> TakeProfile();
 
  private:
+  /// The bookkeeping of one fixpoint round (defined in fixpoint.cc).
+  class RoundScope;
+
   /// Per-branch differential analysis of one component (which bindings are
   /// recursive, whether the predicate references the component), shared by
   /// SemiNaiveFixpoint and cache maintenance.
@@ -319,49 +322,87 @@ class SystemEvaluator : public RelationResolver {
   /// Semi-naive fixpoint over one cyclic component.
   Status SemiNaiveFixpoint(const std::vector<int>& component);
 
-  /// The BranchInfo list of a component's bodies.
+  /// The BranchInfo list of the bodies of `component`, the component being
+  /// iterated (iterating_nodes_).
   Result<std::vector<BranchInfo>> AnalyzeComponentBranches(
-      const std::vector<int>& component, const std::set<int>& in_component);
+      const std::vector<int>& component);
+
+  /// One relation per component member, keyed by node id: a semi-naive
+  /// round's raw outputs, which FoldDeltas turns into the round's deltas.
+  using NodeRelations = std::map<int, std::unique_ptr<Relation>>;
+
+  /// A fresh empty relation (of the node's result schema) per member.
+  NodeRelations EmptyRelations(const std::vector<int>& component) const;
 
   /// The differential loop shared by SemiNaiveFixpoint (after its f(∅)
   /// seed round) and MaintainComponent (after its base-delta seed round):
-  /// iterates the standard non-linear delta rewrite until no delta grows.
-  /// `round` counts this component's rounds (already includes the seed).
+  /// runs DifferentialBranch over the recursive bindings until no delta
+  /// grows. `round` counts this component's rounds (already includes the
+  /// seed).
   Status DifferentialRounds(const std::vector<int>& component,
                             const std::vector<BranchInfo>& infos,
-                            std::map<int, std::unique_ptr<Relation>>* deltas,
-                            ProfileNode* comp_node, size_t* round);
+                            NodeRelations* deltas, ProfileNode* comp_node,
+                            size_t* round);
 
-  /// Turns a round's raw output of `node` into its new delta — raw minus
-  /// the current total, computed in place so no tuple is copied — folds the
-  /// delta into the total, and counts the insertions.
-  Result<std::unique_ptr<Relation>> FoldDelta(int node,
-                                              std::unique_ptr<Relation> raw,
-                                              const ProfileNode* comp_node);
+  /// Ends every semi-naive round (seed, maintenance or differential):
+  /// turns each member's raw output in `raws` into its new delta (raw minus
+  /// the total), folds it into the total, counts the insertions, and closes
+  /// `scope` with the delta sizes.
+  Status FoldDeltas(const std::vector<int>& component, NodeRelations* raws,
+                    RoundScope* scope);
+
+  /// A binding occurrence the differential rewrite treats as changed: the
+  /// whole relation it ranges over (before trailing selectors) and the
+  /// tuples new in it.
+  struct ChangedSource {
+    const Relation* all = nullptr;
+    const Relation* delta = nullptr;
+  };
+
+  /// The "old" relations (all \ delta) built so far in one round, by delta.
+  using OldRelations = std::map<const Relation*, std::unique_ptr<Relation>>;
+
+  /// The one differential rewrite, shared by the differential rounds
+  /// (changed = recursive bindings, delta = last round's delta) and the
+  /// maintenance seed (changed = bindings over inserted-into bases): one
+  /// evaluation of `info`'s branch into `out` per changed occurrence i
+  /// (`changed[i].delta` non-null), where occurrence i reads its delta,
+  /// changed occurrences before i read OldOf, and every other occurrence
+  /// reads through Resolve. Insertions are counted from the folded deltas.
+  Status DifferentialBranch(const BranchInfo& info,
+                            const std::vector<ChangedSource>& changed,
+                            OldRelations* olds, Relation* out);
+
+  /// The pre-change relation `all \ delta` of a changed occurrence, copied
+  /// once per round into `olds`.
+  Result<const Relation*> OldOf(const ChangedSource& source,
+                                OldRelations* olds) const;
 
   /// The application node whose relation `expr` returns unchanged (see
   /// EvaluateExpr), or nullopt.
   std::optional<int> HandOffNode(const CalcExpr& expr,
                                  const Schema& result_schema) const;
 
-  /// Applies the trailing selector applications of `range` (if any) on top
-  /// of `base`, materializing intermediates into scratch_.
-  Result<const Relation*> WithTrailing(const Relation* base,
-                                       const Range& range);
+  /// Applies `split`'s trailing selector applications (if any) on top of
+  /// `base`, materializing each result into scratch_ (the last one at
+  /// scratch_.back()); returns `base` itself when there are none.
+  Result<const Relation*> ApplyTrailing(const Relation* base,
+                                        const RangeSplit& split) const;
 
   /// Computes the cache key of `component`, or nullopt when uncacheable.
   std::optional<ComponentCacheKey> CacheKeyFor(
       const std::vector<int>& component) const;
 
-  /// Installs the cached member relations of a full hit.
+  /// Installs the cached member relations of a cache entry, shared (a full
+  /// hit reads them as they are; MaintainComponent copies before writing).
   Status InstallCachedMembers(const std::vector<int>& component,
                               const std::vector<CachedRelation>& members);
 
   /// Incrementally maintains a cached component against the insert deltas
   /// of `found`: installs mutable copies of the cached members, seeds
-  /// semi-naive with the branch derivations touching the changed bases,
-  /// then runs the differential loop. On error the caller degrades to a
-  /// full recompute.
+  /// semi-naive with the differential rewrite over the changed bases, then
+  /// runs the differential loop. On error the caller degrades to a full
+  /// recompute.
   Status MaintainComponent(const std::vector<int>& component,
                            const CacheLookup& found);
 
@@ -371,17 +412,22 @@ class SystemEvaluator : public RelationResolver {
       const std::vector<int>& component) const;
 
   /// Evaluates every branch of `node`'s body into `out`, resolving ranges
-  /// through `this` (honouring `overrides_`).
-  Status EvaluateNodeBody(int node, Relation* out);
+  /// through Resolve (see EvaluateBranch for `count_inserted`).
+  Status EvaluateNodeBody(int node, Relation* out, bool count_inserted = true);
 
-  /// Evaluates a single branch into `out`. `count_inserted` is false inside
-  /// semi-naive differential rounds, where insertions are counted from the
-  /// deduplicated deltas instead of the raw per-branch output. `node` and
-  /// `branch_index` locate the branch in the specialization plan (node -1:
-  /// a query branch, never filtered).
+  /// The one branch runner — every branch execution goes through it.
+  /// Resolves binding j from `supplied[j]` when that is non-null (the
+  /// relation the binding ranges over, before its trailing selectors),
+  /// otherwise through Resolve; applies the trailing selectors and the
+  /// specialization filter; executes the branch into `out` and records its
+  /// counters. `count_inserted` is false inside semi-naive rounds, where
+  /// insertions are counted from the deduplicated deltas instead of the raw
+  /// per-branch output. `node` and `branch_index` locate the branch in the
+  /// specialization plan (node -1: a query branch, never filtered).
   Status EvaluateBranch(const Branch& branch, Relation* out,
                         bool count_inserted = true, int node = -1,
-                        size_t branch_index = 0);
+                        size_t branch_index = 0,
+                        const std::vector<const Relation*>& supplied = {});
 
   /// Applies the specialization plan's filter for (node, branch, binding)
   /// to `rel`, materializing the restricted copy into scratch_ and counting
@@ -399,15 +445,8 @@ class SystemEvaluator : public RelationResolver {
   /// hits, the component's profile node.
   void NoteCacheUse(CacheUse use, TraceSpan* span, ProfileNode* comp_node);
 
-  /// The bookkeeping of one fixpoint round (defined in fixpoint.cc).
-  class RoundScope;
-
   /// The display key of a component: "[k1, k2]" over the member node keys.
   std::string ComponentLabel(const std::vector<int>& component) const;
-
-  /// Materializes the base relation + selector chain of a split range.
-  Result<const Relation*> ResolveSource(const RangeSplit& split,
-                                        const std::string& cache_key) const;
 
   /// Applies one selector application to `input`.
   Result<std::unique_ptr<Relation>> ApplySelector(const Relation& input,
@@ -436,9 +475,6 @@ class SystemEvaluator : public RelationResolver {
   std::vector<std::shared_ptr<Relation>> totals_;
   bool materialized_ = false;
 
-  /// During a fixpoint round, remaps in-component node ids to a snapshot or
-  /// delta relation.
-  mutable std::map<int, const Relation*> overrides_;
   /// Nodes of the component currently being iterated; ranges over these are
   /// never cached.
   std::set<int> iterating_nodes_;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 
 #include "common/check.h"
@@ -36,11 +37,11 @@ class Value {
   Value() : rep_(int64_t{0}) {}
 
   /// Named constructors, one per domain.
-  static Value Int(int64_t v) { return Value(Rep(std::in_place_index<0>, v)); }
+  static Value Int(int64_t v) { return Value(std::in_place_index<0>, v); }
   static Value String(std::string v) {
-    return Value(Rep(std::in_place_index<1>, std::move(v)));
+    return Value(std::in_place_index<1>, std::move(v));
   }
-  static Value Bool(bool v) { return Value(Rep(std::in_place_index<2>, v)); }
+  static Value Bool(bool v) { return Value(std::in_place_index<2>, v); }
 
   /// The domain this value belongs to.
   ValueType type() const {
@@ -106,7 +107,10 @@ class Value {
 
  private:
   using Rep = std::variant<int64_t, std::string, bool>;
-  explicit Value(Rep rep) : rep_(std::move(rep)) {}
+  /// Constructs the alternative in place: moving a temporary Rep in trips
+  /// GCC 12's -Wmaybe-uninitialized under the sanitizers.
+  template <size_t I, typename T>
+  Value(std::in_place_index_t<I> tag, T&& v) : rep_(tag, std::forward<T>(v)) {}
 
   Rep rep_;
 };

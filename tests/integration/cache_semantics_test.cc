@@ -188,6 +188,108 @@ TEST(CacheSemantics, InsertChurnIsDeltaMaintainedAndMatchesRecompute) {
   EXPECT_EQ(Canonical(interp.results()[2].relation), cold.results.back());
 }
 
+/// One insert-only maintenance shape: a program ending in a QUERY, and an
+/// insert-only churn ending in the same QUERY.
+struct MaintenanceCase {
+  const char* name;
+  const char* program;
+  const char* churn;
+};
+
+constexpr MaintenanceCase kMaintenanceCases[] = {
+    {"non-linear recursion (two recursive bindings)", R"(
+TYPE t = RELATION OF RECORD a, b: INTEGER END;
+VAR E: t;
+CONSTRUCTOR tc2 FOR Rel: t (): t;
+BEGIN EACH r IN Rel: TRUE,
+      <x.a, y.b> OF EACH x IN Rel {tc2}, EACH y IN Rel {tc2}: x.b = y.a
+END tc2;
+INSERT INTO E <1, 2>, <2, 3>, <3, 4>, <4, 5>, <5, 6>;
+QUERY E {tc2};
+)",
+     "INSERT INTO E <6, 7>, <7, 8>, <0, 1>;\nQUERY E {tc2};\n"},
+    {"two occurrences of the changed base in a recursive branch", R"(
+TYPE t = RELATION OF RECORD p, c: INTEGER END;
+TYPE s = RELATION OF RECORD x, y: INTEGER END;
+VAR Par: t;
+CONSTRUCTOR sg FOR Rel: t (): s;
+BEGIN <p1.c, p2.c> OF EACH p1 IN Rel, EACH p2 IN Rel: p1.p = p2.p,
+      <p1.c, p2.c> OF EACH p1 IN Rel, EACH q IN Rel {sg}, EACH p2 IN Rel:
+        p1.p = q.x AND p2.p = q.y
+END sg;
+INSERT INTO Par <1, 2>, <1, 3>, <2, 4>, <2, 5>, <3, 6>, <3, 7>, <4, 8>;
+QUERY Par {sg};
+)",
+     "INSERT INTO Par <5, 10>, <7, 11>, <6, 9>;\nQUERY Par {sg};\n"},
+    {"base binding with a trailing selector", R"(
+TYPE t = RELATION OF RECORD a, b: INTEGER END;
+VAR E: t;
+SELECTOR small (K: INTEGER) FOR Rel: t;
+BEGIN EACH r IN Rel: r.a < K END small;
+CONSTRUCTOR tcs FOR Rel: t (): t;
+BEGIN EACH r IN Rel [small(50)]: TRUE,
+      <f.a, b.b> OF EACH f IN Rel [small(50)], EACH b IN Rel {tcs}:
+        f.b = b.a
+END tcs;
+INSERT INTO E <1, 2>, <2, 3>, <3, 4>, <45, 46>, <60, 61>;
+QUERY E {tcs};
+)",
+     "INSERT INTO E <4, 5>, <46, 47>, <0, 1>, <61, 62>;\nQUERY E {tcs};\n"},
+    {"predicate quantifying over the changed base", R"(
+TYPE t = RELATION OF RECORD a, b: INTEGER END;
+VAR E: t;
+VAR Mark: t;
+CONSTRUCTOR qc FOR Rel: t (): t;
+BEGIN EACH r IN Rel: TRUE,
+      <f.a, b.b> OF EACH f IN Rel, EACH b IN Rel {qc}:
+        f.b = b.a AND SOME z IN Mark (z.a = f.a)
+END qc;
+INSERT INTO E <1, 2>, <2, 3>, <3, 4>, <4, 5>;
+INSERT INTO Mark <1, 0>;
+QUERY E {qc};
+)",
+     "INSERT INTO Mark <2, 0>;\nINSERT INTO E <5, 6>;\nQUERY E {qc};\n"},
+    {"mutually recursive component", R"(
+TYPE t = RELATION OF RECORD a, b: INTEGER END;
+VAR E: t;
+VAR F: t;
+CONSTRUCTOR ev FOR Rel: t (Other: t): t;
+BEGIN EACH r IN Rel: TRUE,
+      <f.a, b.b> OF EACH f IN Rel, EACH b IN Other {od(Rel)}: f.b = b.a
+END ev;
+CONSTRUCTOR od FOR Rel: t (Other: t): t;
+BEGIN EACH r IN Rel: TRUE,
+      <f.a, b.b> OF EACH f IN Rel, EACH b IN Other {ev(Rel)}: f.b = b.a
+END od;
+INSERT INTO E <1, 2>, <3, 4>;
+INSERT INTO F <2, 3>, <4, 5>;
+QUERY E {ev(F)};
+)",
+     "INSERT INTO E <5, 6>;\nINSERT INTO F <6, 7>;\nQUERY E {ev(F)};\n"},
+};
+
+TEST(CacheSemantics, InsertOnlyMaintenanceCoversEveryRewriteShape) {
+  for (const MaintenanceCase& c : kMaintenanceCases) {
+    SCOPED_TRACE(c.name);
+    DatabaseOptions options;
+    options.use_capture_rules = false;
+    Database db(options);
+    Interpreter interp(&db);
+    ASSERT_TRUE(interp.Execute(c.program).ok());
+    Status s = interp.Execute(c.churn);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(db.last_record().cache_delta_hits, 1u);
+    EXPECT_EQ(db.last_record().cache_misses, 0u);
+
+    RunOutcome cold = RunScript(std::string(c.program) + c.churn,
+                                /*cache=*/false, /*use_capture_rules=*/false);
+    ASSERT_EQ(interp.results().size(), 2u);
+    EXPECT_EQ(Canonical(interp.results()[1].relation), cold.results.back());
+    // The churn must have grown the result, or maintenance proved nothing.
+    EXPECT_NE(cold.results.back(), cold.results.front());
+  }
+}
+
 TEST(CacheSemantics, EraseChurnInvalidatesAndRecomputes) {
   DatabaseOptions options;
   options.use_capture_rules = false;

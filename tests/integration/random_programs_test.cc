@@ -59,8 +59,11 @@ Status DefineRandomSystem(Database* db, int k, std::mt19937_64* rng) {
            Each("q", Constructed(Rel("Rel"), other))},
           Eq(FieldRef("f", jf), FieldRef("q", jq))));
     }
+    // Appended rather than `"c" + std::to_string(i)`, on which GCC 12
+    // raises a false -Wrestrict in Release builds.
     decls.push_back(std::make_shared<ConstructorDecl>(
-        "c" + std::to_string(i), FormalRelation{"Rel", "edge"},
+        std::string("c").append(std::to_string(i)),
+        FormalRelation{"Rel", "edge"},
         std::vector<FormalRelation>{}, std::vector<FormalScalar>{}, "edge",
         Union(std::move(branches))));
   }

@@ -165,8 +165,7 @@ TEST(BranchExec, MissingTargetsRequireSingleBinding) {
   Relation e = Edges({{1, 2}});
   Relation out(EdgeSchema());
   BranchPtr branch = std::make_shared<Branch>(
-      std::vector<Binding>{Each("a", Rel("E")), Each("b", Rel("E"))}, True(),
-      std::nullopt);
+      std::vector<Binding>{Each("a", Rel("E")), Each("b", Rel("E"))}, True());
   EXPECT_EQ(RunBranch(branch, {{"a", &e}, {"b", &e}}, &out).code(),
             StatusCode::kTypeError);
 }
