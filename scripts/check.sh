@@ -44,10 +44,11 @@ echo "== trace: end-to-end trace-out + events-out + metrics-out =="
 # at PRAGMA THREADS = 4, then validate the artifact is well-formed Chrome
 # trace-event JSON carrying the span taxonomy the observability layer
 # promises: per-round fixpoint spans and parallel chunk fan-out on
-# distinct worker tracks. A seeded closure query (`EACH v IN Par {tc}:
-# v.front = 63`, answered by reachability from 63 alone) adds its
-# `seeded closure` span and a second per-query record for --agree. The
-# same run exercises the telemetry plane:
+# distinct worker tracks. A full closure query (`Par {tc}`, a component
+# the capture rule evaluates) adds its `capture` span, and a seeded closure
+# query (`EACH v IN Par {tc}: v.front = 63`, answered by reachability from
+# 63 alone) its `seeded closure` span; each adds a per-query record for
+# --agree. The same run exercises the telemetry plane:
 # --events-out leaves a structured JSONL event stream and --metrics-out a
 # Prometheus exposition of the database's registry, both validated below,
 # separately and against each other.
@@ -75,12 +76,14 @@ echo "== trace: end-to-end trace-out + events-out + metrics-out =="
   echo ";"
   echo "INSERT INTO Seed <1, 1>;"
   echo "QUERY Seed {sg(Par)};"
+  echo "QUERY Par {tc};"
   echo "QUERY {EACH v IN Par {tc}: v.front = 63};"
 } | ./build/examples/dbpl_repl --trace-out=trace.json \
       --events-out=events.jsonl --metrics-out=metrics.prom >/dev/null
 python3 scripts/check_trace.py trace.json \
   --require-span parse --require-span evaluate --require-span round \
-  --require-span fanout --require-span chunk --require-span "seeded closure"
+  --require-span fanout --require-span chunk --require-span capture \
+  --require-span "seeded closure"
 python3 scripts/check_trace.py --events events.jsonl
 python3 scripts/check_trace.py --prom metrics.prom
 # The three artifacts render the same per-query records: each query.finish

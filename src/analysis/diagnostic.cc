@@ -18,7 +18,7 @@ struct CodeEntry {
 
 /// The registry behind DiagnosticCodeMeaning/AllDiagnosticCodes. Order is
 /// errors first, numerically — the order DESIGN.md documents them in.
-constexpr std::array<CodeEntry, 30> kCodeTable = {{
+constexpr std::array<CodeEntry, 29> kCodeTable = {{
     {kDiagParseError, "the source fragment failed to parse"},
     {kDiagUnknownName,
      "a relation, selector, constructor, parameter, tuple variable, or field "
@@ -48,10 +48,6 @@ constexpr std::array<CodeEntry, 30> kCodeTable = {{
     {kDiagIllTypedOperation,
      "an arithmetic operator is applied to a non-integer operand, or an "
      "ordered comparison (<, <=, >, >=) mixes operands of different types"},
-    {kDiagCaptureNonBinary,
-     "the constructor matches the transitive-closure capture shape but its "
-     "base or result relation is not binary; the capture rule would fail at "
-     "evaluation time"},
     {kDiagUnusedBinding,
      "a tuple variable is bound by EACH but used neither in the predicate "
      "nor in the target list"},

@@ -35,7 +35,6 @@ inline constexpr std::string_view kDiagUnsafeConstraint = "E120";
 inline constexpr std::string_view kDiagConstraintUnknownRelation = "E121";
 inline constexpr std::string_view kDiagTypeConflict = "E130";
 inline constexpr std::string_view kDiagIllTypedOperation = "E131";
-inline constexpr std::string_view kDiagCaptureNonBinary = "E132";
 inline constexpr std::string_view kDiagUnusedBinding = "W201";
 inline constexpr std::string_view kDiagUnusedParameter = "W202";
 inline constexpr std::string_view kDiagShadowedName = "W203";

@@ -31,7 +31,7 @@ struct LintOptions {
   bool constraints = false;
   /// Run whole-program type inference (analysis/typecheck.h) over every
   /// selector, constructor group, and query expression and report
-  /// E130/E131/E132/W240/W241/W242. Off by default; the `datacon-lint
+  /// E130/E131/W240/W241/W242. Off by default; the `datacon-lint
   /// --types` flag and `DatabaseOptions::typecheck` (CHECK SCRIPT) turn it
   /// on.
   bool types = false;

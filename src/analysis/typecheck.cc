@@ -8,7 +8,6 @@
 #include "ast/printer.h"
 #include "ast/range.h"
 #include "ast/term.h"
-#include "core/capture.h"
 #include "core/semantics.h"
 #include "graph/digraph.h"
 #include "graph/scc.h"
@@ -945,21 +944,6 @@ class Inferencer {
       Report(kDiagTypeError,
              "constructor '" + decl.name() + "' has an empty body", loc,
              kFatal);
-    }
-
-    // Promoted capture.cc runtime error: the transitive-closure capture
-    // shape only evaluates over binary relations.
-    if (DetectTransitiveClosure(decl).has_value()) {
-      auto base = catalog_.LookupRelationType(decl.base().type_name);
-      if ((base.ok() && base.value()->arity() != 2) ||
-          (result != nullptr && result->arity() != 2)) {
-        Report(kDiagCaptureNonBinary,
-               "constructor '" + decl.name() +
-                   "' matches the transitive-closure capture shape but its "
-                   "base/result relations are not binary; the capture rule "
-                   "cannot evaluate it",
-               loc);
-      }
     }
 
     // Inferred cells vs the declared result schema.

@@ -34,8 +34,8 @@ namespace datacon {
 ///
 /// bottom-up (never seeded from the declarations), so comparing it with the
 /// declarations yields genuine findings: E130 conflicts, W241 unconstrained
-/// attributes, W242 union name mismatches, and E132 capture shapes over
-/// non-binary relations. A catalog whose every definition passes is
+/// attributes, and W242 union name mismatches. A catalog whose every
+/// definition passes is
 /// *typed-proven*: evaluation may elide per-tuple type dispatch (ra/eval.h).
 
 /// What fixed an inference cell's type. Rendered only when a finding cites

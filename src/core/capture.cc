@@ -10,33 +10,6 @@ namespace datacon {
 
 namespace {
 
-/// True when `branch` is the closure's base case: the identity over the
-/// formal base `rel`, or an explicit field-for-field projection of it.
-bool IsBaseBranch(const Branch& branch, const std::string& rel) {
-  if (branch.bindings().size() != 1) return false;
-  const Binding& b = branch.bindings()[0];
-  if (b.range->relation() != rel || !b.range->IsPlain()) return false;
-  if (!FlattenConjuncts(branch.pred()).empty()) return false;  // pred != TRUE
-  if (!branch.targets().has_value()) return true;
-  // <r.f0, r.f1> over the base, in field order, also counts.
-  const auto& ts = *branch.targets();
-  if (ts.size() != 2) return false;
-  for (int i = 0; i < 2; ++i) {
-    if (ts[static_cast<size_t>(i)]->kind() != Term::Kind::kFieldRef) {
-      return false;
-    }
-    const auto& f =
-        static_cast<const FieldRefTerm&>(*ts[static_cast<size_t>(i)]);
-    if (f.var() != b.var) return false;
-    // Field order is validated against the base schema by the caller's
-    // type check; here we only require both positions reference the bound
-    // variable with distinct fields.
-  }
-  const auto& f0 = static_cast<const FieldRefTerm&>(*ts[0]);
-  const auto& f1 = static_cast<const FieldRefTerm&>(*ts[1]);
-  return f0.field() != f1.field();
-}
-
 struct FieldOf {
   std::string var;
   std::string field;
@@ -46,6 +19,29 @@ std::optional<FieldOf> AsField(const TermPtr& t) {
   if (t->kind() != Term::Kind::kFieldRef) return std::nullopt;
   const auto& f = static_cast<const FieldRefTerm&>(*t);
   return FieldOf{f.var(), f.field()};
+}
+
+/// True when `branch` is the closure's base case: the identity over the
+/// formal base `rel`, or a projection <r.a, r.b> of it onto two distinct
+/// fields, which `info` records.
+bool IsBaseBranch(const Branch& branch, const std::string& rel,
+                  TransitiveClosureInfo* info) {
+  if (branch.bindings().size() != 1) return false;
+  const Binding& b = branch.bindings()[0];
+  if (b.range->relation() != rel || !b.range->IsPlain()) return false;
+  if (!FlattenConjuncts(branch.pred()).empty()) return false;  // pred != TRUE
+  if (!branch.targets().has_value()) return true;
+  const auto& ts = *branch.targets();
+  if (ts.size() != 2) return false;
+  std::optional<FieldOf> f0 = AsField(ts[0]);
+  std::optional<FieldOf> f1 = AsField(ts[1]);
+  if (!f0.has_value() || !f1.has_value() || f0->var != b.var ||
+      f1->var != b.var || f0->field == f1->field) {
+    return false;
+  }
+  info->base_first = f0->field;
+  info->base_second = f1->field;
+  return true;
 }
 
 }  // namespace
@@ -58,10 +54,11 @@ std::optional<TransitiveClosureInfo> DetectTransitiveClosure(
   if (decl.body()->branches().size() != 2) return std::nullopt;
   const std::string& rel = decl.base().name;
 
+  TransitiveClosureInfo info;
   const Branch* base_branch = nullptr;
   const Branch* step_branch = nullptr;
   for (const BranchPtr& b : decl.body()->branches()) {
-    if (base_branch == nullptr && IsBaseBranch(*b, rel)) {
+    if (base_branch == nullptr && IsBaseBranch(*b, rel, &info)) {
       base_branch = b.get();
     } else {
       step_branch = b.get();
@@ -120,17 +117,50 @@ std::optional<TransitiveClosureInfo> DetectTransitiveClosure(
   std::optional<FieldOf> t1 = AsField(ts[1]);
   if (!t0.has_value() || !t1.has_value()) return std::nullopt;
 
-  // Left-linear (`ahead`): <outer.src, rec.tgt>, join outer.dst = rec.src.
-  if (t0->var == outer->var && t1->var == rec->var &&
-      outer_side->field != t0->field && rec_side->field != t1->field) {
-    return TransitiveClosureInfo{/*left_linear=*/true};
+  // Left-linear (`ahead`): <outer.src, rec.tgt>, join outer.dst = rec.src;
+  // right-linear mirror: <rec.src, outer.dst>, join rec.tgt = outer.src.
+  info.left_linear = t0->var == outer->var;
+  const FieldOf& outer_target = info.left_linear ? *t0 : *t1;
+  const FieldOf& rec_target = info.left_linear ? *t1 : *t0;
+  if (outer_target.var != outer->var || rec_target.var != rec->var ||
+      outer_side->field == outer_target.field ||
+      rec_side->field == rec_target.field) {
+    return std::nullopt;
   }
-  // Right-linear mirror: <rec.src, outer.dst>, join rec.tgt = outer.src.
-  if (t0->var == rec->var && t1->var == outer->var &&
-      rec_side->field != t0->field && outer_side->field != t1->field) {
-    return TransitiveClosureInfo{/*left_linear=*/false};
+  info.outer_target = outer_target.field;
+  info.outer_join = outer_side->field;
+  info.rec_target = rec_target.field;
+  info.rec_join = rec_side->field;
+  return info;
+}
+
+std::optional<TransitiveClosureInfo> DetectCapturedClosure(
+    const ConstructorDecl& decl, const Catalog& catalog) {
+  std::optional<TransitiveClosureInfo> info = DetectTransitiveClosure(decl);
+  if (!info.has_value()) return std::nullopt;
+  Result<const Schema*> base =
+      catalog.LookupRelationType(decl.base().type_name);
+  Result<const Schema*> result =
+      catalog.LookupRelationType(decl.result_type_name());
+  if (!base.ok() || !result.ok() || base.value()->arity() != 2 ||
+      result.value()->arity() != 2) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  auto base_field = [&](int i) { return base.value()->field(i).name; };
+  auto result_field = [&](int i) { return result.value()->field(i).name; };
+  if (!info->base_first.empty() && (info->base_first != base_field(0) ||
+                                    info->base_second != base_field(1))) {
+    return std::nullopt;
+  }
+  // The position each variable projects; it joins on the other one.
+  const int outer = info->left_linear ? 0 : 1;
+  if (info->outer_target != base_field(outer) ||
+      info->outer_join != base_field(1 - outer) ||
+      info->rec_target != result_field(1 - outer) ||
+      info->rec_join != result_field(outer)) {
+    return std::nullopt;
+  }
+  return info;
 }
 
 namespace {

@@ -2,10 +2,12 @@
 #define DATACON_CORE_CAPTURE_H_
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "ast/decl.h"
 #include "common/result.h"
+#include "core/catalog.h"
 #include "storage/relation.h"
 #include "types/schema.h"
 #include "types/value.h"
@@ -27,17 +29,35 @@ namespace datacon {
 /// (left-linear; the mirrored right-linear form also matches). Such a
 /// constructor denotes the transitive closure of its base, which a
 /// specialized frontier algorithm computes without generic join machinery.
+///
+/// The detector reads only the declaration, so it records the fields it
+/// matched by name; DetectCapturedClosure confirms them by position.
 struct TransitiveClosureInfo {
   /// True for the `ahead` orientation (recursive tuple extends on the
   /// right); false for the mirrored right-linear form.
   bool left_linear = true;
+  /// The base branch's projection <r.base_first, r.base_second>; both empty
+  /// for the identity branch.
+  std::string base_first, base_second;
+  /// The step branch's projected (`target`) and joined (`join`) fields of
+  /// the variable over the plain base (`outer`) and over the recursive
+  /// application (`rec`).
+  std::string outer_target, outer_join, rec_target, rec_join;
 };
 
-/// Detects the transitive-closure shape. Returns nullopt when the
-/// constructor is well-formed but differently shaped. The constructor must
-/// have no parameters, a binary base, and a binary result.
+/// Detects the transitive-closure shape by field names. Returns nullopt
+/// when the constructor is well-formed but differently shaped.
 std::optional<TransitiveClosureInfo> DetectTransitiveClosure(
     const ConstructorDecl& decl);
+
+/// The capture rule's one complete test: DetectTransitiveClosure, then its
+/// fields confirmed by position against the constructor's declared base
+/// and result schemas in `catalog`. Both must be binary, the base branch
+/// the identity or <r.f0, r.f1>, and the step either left-linear
+/// <outer.f0, rec.f1> joined on outer.f1 = rec.f0, or right-linear
+/// <rec.f0, outer.f1> joined on rec.f1 = outer.f0.
+std::optional<TransitiveClosureInfo> DetectCapturedClosure(
+    const ConstructorDecl& decl, const Catalog& catalog);
 
 /// The full transitive closure of the binary relation `edges`, computed by
 /// a breadth-first frontier per source node. `result_schema` must be binary

@@ -176,9 +176,8 @@ Status Database::DefineConstructorGroup(
   if (status.ok()) {
     // One type-checker pass over the group. Per member, its level-1
     // verdict comes before its positivity test; the remaining inference
-    // errors (E130 conflicts, E131 ill-typed operations, E132 non-binary
-    // capture shapes) reject the group last. Warnings surface through
-    // CHECK/datacon-lint.
+    // errors (E130 conflicts, E131 ill-typed operations) reject the group
+    // last. Warnings surface through CHECK/datacon-lint.
     GroupVerdict verdict;
     if (options_.typecheck) verdict = CheckConstructorGroup(decls, catalog_);
     for (size_t i = 0; status.ok() && i < decls.size(); ++i) {
@@ -447,103 +446,6 @@ Result<Relation> Database::EvalQueryAs(const CalcExprPtr& expr,
   return Evaluate(expr, schema, Environment());
 }
 
-Status Database::InstallCaptures(const ApplicationGraph& graph,
-                                 SystemEvaluator* ev,
-                                 const SpecializationPlan* plan,
-                                 bool use_cache) {
-  for (size_t i = 0; i < graph.nodes().size(); ++i) {
-    const ApplicationGraph::Node& node = graph.nodes()[i];
-    if (plan != nullptr && plan->nodes[i].active) continue;
-    if (node.base->ContainsConstructor()) continue;
-    if (!DetectTransitiveClosure(*node.ctor).has_value()) continue;
-    TraceSpan span("capture");
-    if (span.active()) span.AddArg("node", node.key);
-    Timer timer;
-
-    // Captures cache under their own key namespace. They are stored with
-    // empty EvalStats (FullClosure contributes nothing to EvalStats either
-    // way) and are never delta-maintained — the frontier algorithm has no
-    // incremental form here, and a full recompute is its own seed.
-    std::string cache_key;
-    std::optional<std::vector<CacheInput>> cache_inputs;
-    if (use_cache) {
-      InputScan scan;
-      ScanRangeInputs(*node.base, catalog_, 0, &scan);
-      if (scan.ok) {
-        cache_key = "capture|" + node.key;
-        CacheLookup found = mat_cache_.Lookup(cache_key, catalog_);
-        if (found.outcome == CacheOutcome::kHit && found.members.size() == 1 &&
-            found.members[0].relation != nullptr) {
-          ++ev->record().cache_hits;
-          if (span.active()) span.AddArg("cache", std::string("hit"));
-          if (ev->profile() != nullptr) {
-            ProfileNode* n = ev->profile()->AddChild(
-                "capture [" + node.key + "] (cache hit)");
-            n->counters().Add(
-                "closure_tuples",
-                static_cast<int64_t>(found.members[0].relation->size()));
-            n->set_elapsed_ns(timer.ElapsedNs());
-          }
-          DATACON_RETURN_IF_ERROR(ev->InstallNodeRelation(
-              static_cast<int>(i), found.members[0].relation));
-          continue;
-        }
-        ++ev->record().cache_misses;
-        Result<std::vector<CacheInput>> snap =
-            SnapshotCacheInputs(scan.inputs, catalog_);
-        if (snap.ok()) {
-          cache_inputs = std::move(snap).value();
-        } else {
-          cache_key.clear();
-        }
-      }
-    }
-
-    DATACON_ASSIGN_OR_RETURN(const Relation* edges, ev->Resolve(*node.base));
-    DATACON_ASSIGN_OR_RETURN(Relation closure,
-                             FullClosure(*edges, node.result_schema));
-    auto closure_rel = std::make_shared<Relation>(std::move(closure));
-    if (ev->profile() != nullptr) {
-      ProfileNode* n = ev->profile()->AddChild(
-          "capture [" + node.key + "] (transitive closure)");
-      n->counters().Add("edge_tuples", static_cast<int64_t>(edges->size()));
-      n->counters().Add("closure_tuples",
-                        static_cast<int64_t>(closure_rel->size()));
-      n->set_elapsed_ns(timer.ElapsedNs());
-    }
-    DATACON_RETURN_IF_ERROR(ev->InstallNodeRelation(
-        static_cast<int>(i), std::shared_ptr<const Relation>(closure_rel)));
-    if (!cache_key.empty() && cache_inputs.has_value()) {
-      mat_cache_.Insert(cache_key, {CachedRelation{node.key, closure_rel}},
-                        *std::move(cache_inputs), EvalStats{},
-                        /*maintainable=*/false);
-    }
-  }
-  return Status::OK();
-}
-
-namespace {
-
-/// Seeded plans only run when the closure binding is the expression's sole
-/// constructor reference (everything else resolves against base relations).
-bool SeededPlanApplies(const CalcExpr& expr, const SeededTcPlan& plan) {
-  if (expr.branches().size() != 1 || plan.branch_index != 0) return false;
-  const Branch& branch = *expr.branches()[0];
-  size_t constructed = 0;
-  bool pred_recursion = false;
-  for (const Binding& b : branch.bindings()) {
-    if (b.range->ContainsConstructor()) ++constructed;
-  }
-  ForEachRangeWithParity(*branch.pred(), 0, [&](const Range& r, int) {
-    if (r.ContainsConstructor()) pred_recursion = true;
-  });
-  // The plan's binding must also carry no trailing selectors (its last app
-  // is the constructor; DetectSeededTc guarantees this).
-  return constructed == 1 && !pred_recursion;
-}
-
-}  // namespace
-
 void Database::BeginEvaluation(const std::string* plan) {
   static_cast<QueryRecord&>(last_record_) = QueryRecord{};
   ++last_record_.eval_index;
@@ -659,7 +561,7 @@ Result<QueryPlan> Database::PlanQuery(const CalcExprPtr& expr) const {
   if (options_.use_capture_rules) {
     DATACON_ASSIGN_OR_RETURN(std::optional<SeededTcPlan> seeded,
                              DetectSeededTc(*plan.expr, catalog_));
-    if (seeded.has_value() && SeededPlanApplies(*plan.expr, *seeded)) {
+    if (seeded.has_value()) {
       plan.description =
           "seeded transitive closure (" +
           (seeded->seed_param.has_value()
@@ -687,9 +589,8 @@ Result<Relation> Database::ExecuteSeeded(const CalcExprPtr& expr,
                                          const SeededTcPlan& plan) {
   // Constant propagation into the recursive constructor: reachability from
   // the bound constant only, never the full closure. The closure becomes
-  // its application node's relation, as InstallCaptures installs a full
-  // one; SeededPlanApplies leaves that node the graph's only one, so
-  // MaterializeAll has nothing left to evaluate.
+  // its application node's relation; DetectSeededTc leaves that node the
+  // graph's only one, so MaterializeAll has nothing left to evaluate.
   TraceSpan span("seeded closure");
   ApplicationGraph graph(&catalog_);
   DATACON_RETURN_IF_ERROR(graph.AddRoots(*expr));
@@ -763,10 +664,7 @@ Result<Relation> Database::EvaluateGeneral(const CalcExprPtr& expr,
       DATACON_ASSIGN_OR_RETURN(plan, BuildSpecializationPlan(adornment, graph));
       if (plan.has_value()) ev.InstallSpecialization(&*plan);
     }
-    if (options_.use_capture_rules) {
-      DATACON_RETURN_IF_ERROR(InstallCaptures(
-          graph, &ev, plan.has_value() ? &*plan : nullptr, use_cache));
-    }
+    if (options_.use_capture_rules) ev.InstallCaptureRules();
     DATACON_RETURN_IF_ERROR(ev.MaterializeAll());
     return ev.EvaluateExpr(*expr, schema);
   }();
@@ -850,46 +748,32 @@ Result<std::string> Database::Explain(const RangePtr& range) const {
                            AnalyzeAdornment(*identity, graph, catalog_));
   DATACON_ASSIGN_OR_RETURN(std::optional<SpecializationPlan> plan,
                            BuildSpecializationPlan(adornment, graph));
-  auto specialized = [&](int n) {
-    return options_.specialize && plan.has_value() &&
-           plan->nodes[static_cast<size_t>(n)].active;
-  };
+  const SpecializationPlan* active_plan =
+      options_.specialize && plan.has_value() ? &*plan : nullptr;
 
   for (int comp : scc->topological_order) {
     const std::vector<int>& members =
         scc->components[static_cast<size_t>(comp)];
-    bool cyclic = scc->cyclic[static_cast<size_t>(comp)];
     out += "  component:";
     for (int n : members) {
       out += " [" + graph.nodes()[static_cast<size_t>(n)].key + "]";
     }
-    if (!cyclic) {
-      out += specialized(members[0]) ? " -> single pass (restricted)\n"
-                                     : " -> single pass\n";
-      continue;
-    }
-    if (specialized(members[0])) {
-      out += options_.eval.strategy == FixpointStrategy::kSemiNaive
-                 ? " -> magic-seed specialized semi-naive fixpoint\n"
-                 : " -> magic-seed specialized naive fixpoint\n";
-      continue;
-    }
-    bool captured = false;
-    if (options_.use_capture_rules && members.size() == 1) {
-      const ApplicationGraph::Node& node =
-          graph.nodes()[static_cast<size_t>(members[0])];
-      if (!node.base->ContainsConstructor() &&
-          DetectTransitiveClosure(*node.ctor).has_value()) {
-        captured = true;
-      }
-    }
-    if (captured) {
-      out += " -> capture rule: specialized transitive closure\n";
-    } else {
-      out += options_.eval.strategy == FixpointStrategy::kSemiNaive
-                 ? " -> semi-naive fixpoint\n"
-                 : " -> naive fixpoint\n";
-    }
+    // Indexed by ComponentStrategy; the plan never restricts a capture.
+    static constexpr const char* kPlain[] = {
+        "single pass", "naive fixpoint", "semi-naive fixpoint",
+        "capture rule: specialized transitive closure"};
+    static constexpr const char* kRestricted[] = {
+        "single pass (restricted)", "magic-seed specialized naive fixpoint",
+        "magic-seed specialized semi-naive fixpoint", ""};
+    const bool restricted =
+        active_plan != nullptr &&
+        active_plan->nodes[static_cast<size_t>(members[0])].active;
+    const ComponentStrategy strategy = ChooseComponentStrategy(
+        graph, catalog_, members, scc->cyclic[static_cast<size_t>(comp)],
+        options_.eval, options_.use_capture_rules, active_plan);
+    out += std::string(" -> ") +
+           (restricted ? kRestricted : kPlain)[static_cast<size_t>(strategy)] +
+           "\n";
   }
 
   out += "level 2 (inferred schemas):\n";

@@ -377,8 +377,7 @@ class Database {
 
   /// The one plan choice of Evaluate and Prepare (level 2): inlines
   /// non-recursive applications (when enabled), detects a seeded-closure
-  /// plan that SeededPlanApplies admits (with capture rules on), and names
-  /// the result.
+  /// plan (with capture rules on), and names the result.
   Result<QueryPlan> PlanQuery(const CalcExprPtr& expr) const;
 
   /// Level-3 execution of a chosen plan (no re-detection): ExecuteSeeded or
@@ -394,7 +393,7 @@ class Database {
                                  const Environment& params,
                                  const SeededTcPlan& plan);
 
-  /// Level-3 general execution (instantiate, capture install, fixpoint);
+  /// Level-3 general execution (instantiate, specialize, fixpoint);
   /// `expr` must already be rewritten. `allow_cache = false` forces the
   /// run past the materialization cache (constraint checks).
   Result<Relation> EvaluateGeneral(const CalcExprPtr& expr,
@@ -404,14 +403,6 @@ class Database {
 
   Status DefineConstructorGroup(const std::vector<ConstructorDeclPtr>& decls,
                                 bool check_positivity);
-
-  /// Installs capture-rule materializations for eligible nodes. Nodes the
-  /// specialization plan restricts are skipped — their pruned fixpoint
-  /// replaces the full-closure capture. With `use_cache`, closures are
-  /// reused from / stored into mat_cache_ under "capture|<node key>" keys
-  /// (full hits only — captures are never delta-maintained).
-  Status InstallCaptures(const ApplicationGraph& graph, SystemEvaluator* ev,
-                         const SpecializationPlan* plan, bool use_cache);
 
   /// The typed-proven verdict for the next evaluation; see
   /// EvaluationRecord::typed_proven.

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "common/eventlog.h"
 #include "common/trace.h"
+#include "core/capture.h"
 #include "core/matcache.h"
 #include "core/positivity.h"
 #include "ra/branch_exec.h"
@@ -79,6 +80,26 @@ size_t ApproxRelationBytes(const Relation& rel) {
   return rel.size() *
          (kTupleOverhead +
           kFieldBytes * static_cast<size_t>(rel.schema().arity()));
+}
+
+ComponentStrategy ChooseComponentStrategy(const ApplicationGraph& graph,
+                                          const Catalog& catalog,
+                                          const std::vector<int>& members,
+                                          bool cyclic,
+                                          const EvalOptions& options,
+                                          bool capture_rules,
+                                          const SpecializationPlan* plan) {
+  if (!cyclic) return ComponentStrategy::kSinglePass;
+  const size_t first = static_cast<size_t>(members[0]);
+  if (capture_rules && members.size() == 1 &&
+      (plan == nullptr || !plan->nodes[first].active) &&
+      !graph.nodes()[first].base->ContainsConstructor() &&
+      DetectCapturedClosure(*graph.nodes()[first].ctor, catalog).has_value()) {
+    return ComponentStrategy::kCapture;
+  }
+  return options.unchecked || options.strategy == FixpointStrategy::kNaive
+             ? ComponentStrategy::kNaive
+             : ComponentStrategy::kSemiNaive;
 }
 
 /// One fixpoint round's bookkeeping, shared by every round loop: counts the
@@ -256,8 +277,8 @@ Status SystemEvaluator::MaterializeAll() {
   for (int comp : scc.topological_order) {
     const std::vector<int>& members =
         scc.components[static_cast<size_t>(comp)];
-    // Components fully covered by installed (capture-rule) relations are
-    // already materialized.
+    // Components fully covered by installed relations (a seeded closure)
+    // are already materialized.
     bool installed = true;
     for (int n : members) {
       if (totals_[static_cast<size_t>(n)] == nullptr) {
@@ -266,32 +287,35 @@ Status SystemEvaluator::MaterializeAll() {
       }
     }
     if (installed) continue;
-    const bool cyclic = scc.cyclic[static_cast<size_t>(comp)];
-    const bool naive =
-        options_.unchecked || options_.strategy == FixpointStrategy::kNaive;
+    const ComponentStrategy strategy = ChooseComponentStrategy(
+        *graph_, *catalog_, members, scc.cyclic[static_cast<size_t>(comp)],
+        options_, capture_rules_, plan_);
+    // Indexed by ComponentStrategy.
+    static constexpr const char* kStrategyNames[] = {
+        "single pass", "naive", "semi-naive", "capture"};
+    const char* strategy_name = kStrategyNames[static_cast<size_t>(strategy)];
     TraceSpan comp_span("component");
     if (comp_span.active()) {
       comp_span.AddArg("members", ComponentLabel(members));
-      comp_span.AddArg("strategy", cyclic ? (naive ? std::string("naive")
-                                                   : std::string("semi-naive"))
-                                          : std::string("single pass"));
+      comp_span.AddArg("strategy", std::string(strategy_name));
     }
     ProfileNode* comp_node = nullptr;
     Timer comp_timer;
     if (profile_ != nullptr) {
-      std::string name =
-          cyclic ? "component " + ComponentLabel(members) +
-                       (naive ? " (naive)" : " (semi-naive)")
-                 : "node [" +
-                       graph_->nodes()[static_cast<size_t>(members[0])].key +
-                       "]";
-      comp_node = profile_->AddChild(std::move(name));
+      const std::string& key =
+          graph_->nodes()[static_cast<size_t>(members[0])].key;
+      comp_node = profile_->AddChild(
+          strategy == ComponentStrategy::kSinglePass ? "node [" + key + "]"
+          : strategy == ComponentStrategy::kCapture
+              ? "capture [" + key + "] (transitive closure)"
+              : "component " + ComponentLabel(members) + " (" +
+                    strategy_name + ")");
       cur_ = comp_node;
     }
     Status status;
     bool satisfied = false;
     std::optional<ComponentCacheKey> ck;
-    if (cache_ != nullptr) ck = CacheKeyFor(members);
+    if (cache_ != nullptr) ck = CacheKeyFor(members, strategy);
     if (ck.has_value()) {
       TraceSpan cache_span("cache");
       if (cache_span.active()) cache_span.AddArg("key", ck->key);
@@ -341,9 +365,11 @@ Status SystemEvaluator::MaterializeAll() {
     }
     if (!satisfied) {
       EvalStats before = record_.stats;
-      if (!cyclic) {
+      if (strategy == ComponentStrategy::kSinglePass) {
         status = EvaluateAcyclicNode(members[0]);
-      } else if (naive) {
+      } else if (strategy == ComponentStrategy::kCapture) {
+        status = CaptureClosure(members[0]);
+      } else if (strategy == ComponentStrategy::kNaive) {
         status = NaiveFixpoint(members);
       } else {
         status = SemiNaiveFixpoint(members);
@@ -451,6 +477,27 @@ Result<Relation> SystemEvaluator::EvaluateExpr(const CalcExpr& expr,
   }
   DATACON_RETURN_IF_ERROR(status);
   return out;
+}
+
+Status SystemEvaluator::CaptureClosure(int node) {
+  const ApplicationGraph::Node& n = graph_->nodes()[static_cast<size_t>(node)];
+  TraceSpan span("capture");
+  DATACON_ASSIGN_OR_RETURN(const Relation* edges, Resolve(*n.base));
+  DATACON_ASSIGN_OR_RETURN(Relation closure,
+                           FullClosure(*edges, n.result_schema));
+  const auto edge_n = static_cast<int64_t>(edges->size());
+  const auto closure_n = static_cast<int64_t>(closure.size());
+  if (span.active()) {
+    span.AddArg("edge_tuples", edge_n);
+    span.AddArg("closure_tuples", closure_n);
+  }
+  if (cur_ != nullptr) {
+    cur_->counters().Add("edge_tuples", edge_n);
+    cur_->counters().Add("closure_tuples", closure_n);
+  }
+  totals_[static_cast<size_t>(node)] =
+      std::make_shared<Relation>(std::move(closure));
+  return Status::OK();
 }
 
 Status SystemEvaluator::EvaluateAcyclicNode(int node) {
@@ -746,7 +793,7 @@ Status SystemEvaluator::FoldDeltas(const std::vector<int>& component,
 }
 
 std::optional<SystemEvaluator::ComponentCacheKey> SystemEvaluator::CacheKeyFor(
-    const std::vector<int>& component) const {
+    const std::vector<int>& component, ComponentStrategy strategy) const {
   // Unchecked systems are non-monotonic by construction (section 3.3's
   // `strange`/`nonsense`); nothing about them is cached.
   if (options_.unchecked) return std::nullopt;
@@ -845,8 +892,9 @@ std::optional<SystemEvaluator::ComponentCacheKey> SystemEvaluator::CacheKeyFor(
   std::sort(keys.begin(), keys.end());
   // The strategy is part of the key so replayed EvalStats always describe
   // the strategy the current options would have run.
-  out.key =
-      options_.strategy == FixpointStrategy::kNaive ? "c|naive" : "c|semi";
+  out.key = strategy == ComponentStrategy::kCapture ? "c|capture"
+            : options_.strategy == FixpointStrategy::kNaive ? "c|naive"
+                                                            : "c|semi";
   for (const std::string& k : keys) {
     out.key += '|';
     out.key += k;
@@ -857,8 +905,11 @@ std::optional<SystemEvaluator::ComponentCacheKey> SystemEvaluator::CacheKeyFor(
   // bases; that is sound only when every input occurs positively, every
   // application the component reads is in-component (growth of an external
   // node would go unnoticed), and no member is magically restricted.
+  // The frontier algorithm of a captured closure has no incremental form:
+  // a full recompute is its own seed.
   out.maintainable = scan.maintainable && !external && !member_active &&
-                     options_.strategy == FixpointStrategy::kSemiNaive;
+                     options_.strategy == FixpointStrategy::kSemiNaive &&
+                     strategy != ComponentStrategy::kCapture;
   return out;
 }
 

@@ -40,6 +40,11 @@ enum class FixpointStrategy {
   kSemiNaive,
 };
 
+/// How MaterializeAll evaluates one component of the application graph:
+/// one pass (acyclic), a naive or semi-naive fixpoint (cyclic), or the
+/// capture rule of section 4 (a transitive closure, by FullClosure).
+enum class ComponentStrategy { kSinglePass, kNaive, kSemiNaive, kCapture };
+
 /// Options controlling system evaluation.
 struct EvalOptions {
   FixpointStrategy strategy = FixpointStrategy::kSemiNaive;
@@ -186,6 +191,19 @@ std::string FieldsText(const QueryRecord& record, bool resources);
 /// thread count, and independent of allocator behaviour.
 size_t ApproxRelationBytes(const Relation& rel);
 
+/// The one strategy choice for a component of `graph`, read by
+/// MaterializeAll and EXPLAIN. A cyclic component is captured when
+/// `capture_rules` is on, it has one member whose base range is
+/// constructor-free and which `plan` (may be null) does not restrict, and
+/// its constructor passes DetectCapturedClosure against `catalog`.
+ComponentStrategy ChooseComponentStrategy(const ApplicationGraph& graph,
+                                          const Catalog& catalog,
+                                          const std::vector<int>& members,
+                                          bool cyclic,
+                                          const EvalOptions& options,
+                                          bool capture_rules,
+                                          const SpecializationPlan* plan);
+
 /// Evaluates an instantiated application system (level 3 of the paper's
 /// framework): components of the application graph are materialized in
 /// dependency order — acyclic components in a single pass, cyclic ones by
@@ -202,15 +220,15 @@ class SystemEvaluator : public RelationResolver {
   SystemEvaluator(const Catalog* catalog, const ApplicationGraph* graph,
                   EvalOptions options, Environment params = {});
 
-  /// Pre-installs an externally computed relation for `node` — the hook
-  /// used by capture rules (section 4): a recognized special case (e.g.
-  /// transitive closure, full or seeded) is materialized by a specialized
-  /// algorithm and the generic fixpoint skips it. Must be called before
-  /// MaterializeAll. The relation is shared without copying (a
-  /// std::unique_ptr converts) and treated as immutable — the evaluator
-  /// reads it but never mutates it (the cache may hand the same object to
-  /// later evaluations). Once the evaluator holds the only reference, the
-  /// relation is its own, and EvaluateExpr may hand it off by move.
+  /// Pre-installs an externally computed relation for `node` — the hook of
+  /// the seeded closure (reachability from the query's constant only):
+  /// MaterializeAll skips every component installed relations cover. Must
+  /// be called before MaterializeAll. The relation is shared without
+  /// copying (a std::unique_ptr converts) and treated as immutable — the
+  /// evaluator reads it but never mutates it (the cache may hand the same
+  /// object to later evaluations). Once the evaluator holds the only
+  /// reference, the relation is its own, and EvaluateExpr may hand it off
+  /// by move.
   Status InstallNodeRelation(int node, std::shared_ptr<const Relation> rel);
 
   /// Enables the materialization cache: MaterializeAll consults `cache`
@@ -226,6 +244,12 @@ class SystemEvaluator : public RelationResolver {
   /// to relevant tuples. `plan` must outlive the evaluator; must be called
   /// before MaterializeAll (which computes the relevant-value closure).
   void InstallSpecialization(const SpecializationPlan* plan) { plan_ = plan; }
+
+  /// Turns the capture rule on: MaterializeAll evaluates every component
+  /// ChooseComponentStrategy captures by FullClosure, through the same
+  /// cache, profile and span path as any other component. Must be called
+  /// before MaterializeAll.
+  void InstallCaptureRules() { capture_rules_ = true; }
 
   /// Installs a structured-event sink (not owned; may be null): the
   /// evaluator emits specialize.fallback when a planned specialization
@@ -264,14 +288,13 @@ class SystemEvaluator : public RelationResolver {
   const EvalStats& stats() const { return record_.stats; }
 
   /// The record so far (complete after MaterializeAll + EvaluateExpr). The
-  /// database layer also counts capture-rule cache outcomes and the seeded
-  /// closure's working-set peak through it.
+  /// database layer also counts the seeded closure's working-set peak
+  /// through it.
   QueryRecord& record() { return record_; }
   const QueryRecord& record() const { return record_; }
 
   /// The profile tree collected so far (null unless options.profile). The
-  /// database layer also appends capture-rule and seeded-closure nodes
-  /// through this.
+  /// database layer also appends the seeded-closure node through this.
   ProfileNode* profile() { return profile_.get(); }
   const ProfileNode* profile() const { return profile_.get(); }
 
@@ -321,6 +344,10 @@ class SystemEvaluator : public RelationResolver {
 
   /// Semi-naive fixpoint over one cyclic component.
   Status SemiNaiveFixpoint(const std::vector<int>& component);
+
+  /// The capture rule over one captured node: the FullClosure of its base
+  /// range, with its `capture` span and profile counters.
+  Status CaptureClosure(int node);
 
   /// The BranchInfo list of the bodies of `component`, the component being
   /// iterated (iterating_nodes_).
@@ -389,9 +416,10 @@ class SystemEvaluator : public RelationResolver {
   Result<const Relation*> ApplyTrailing(const Relation* base,
                                         const RangeSplit& split) const;
 
-  /// Computes the cache key of `component`, or nullopt when uncacheable.
+  /// Computes the cache key of `component` evaluated by `strategy`, or
+  /// nullopt when uncacheable.
   std::optional<ComponentCacheKey> CacheKeyFor(
-      const std::vector<int>& component) const;
+      const std::vector<int>& component, ComponentStrategy strategy) const;
 
   /// Installs the cached member relations of a cache entry, shared (a full
   /// hit reads them as they are; MaintainComponent copies before writing).
@@ -464,6 +492,9 @@ class SystemEvaluator : public RelationResolver {
 
   /// Materialization cache (not owned; null when disabled).
   MatCache* cache_ = nullptr;
+
+  /// Whether ChooseComponentStrategy may pick the capture rule.
+  bool capture_rules_ = false;
 
   /// Structured-event sink (not owned; null when disabled).
   EventLog* events_ = nullptr;

@@ -282,62 +282,70 @@ Result<std::optional<CalcExprPtr>> InlineNonRecursiveApplications(
 
 Result<std::optional<SeededTcPlan>> DetectSeededTc(const CalcExpr& expr,
                                                    const Catalog& catalog) {
-  for (size_t bi = 0; bi < expr.branches().size(); ++bi) {
-    const Branch& branch = *expr.branches()[bi];
-    for (size_t j = 0; j < branch.bindings().size(); ++j) {
-      const Binding& binding = branch.bindings()[j];
-      const RangePtr& range = binding.range;
-      if (range->apps().empty() ||
-          range->apps().back().kind != RangeApp::Kind::kConstructor) {
+  // The plan answers the whole query: one branch whose only constructed
+  // range is the closure binding, `Base {c}` over a constructor-free base
+  // with `c` an argument-free, schema-checked closure.
+  const std::optional<SeededTcPlan> none;
+  if (expr.branches().size() != 1) return none;
+  const Branch& branch = *expr.branches()[0];
+  bool pred_constructed = false;
+  ForEachRangeWithParity(*branch.pred(), 0, [&](const Range& r, int) {
+    if (r.ContainsConstructor()) pred_constructed = true;
+  });
+  std::optional<size_t> closure;
+  for (size_t j = 0; j < branch.bindings().size(); ++j) {
+    if (!branch.bindings()[j].range->ContainsConstructor()) continue;
+    if (closure.has_value()) return none;
+    closure = j;
+  }
+  if (pred_constructed || !closure.has_value()) return none;
+  const Binding& binding = branch.bindings()[*closure];
+  const RangePtr& range = binding.range;
+  const RangeApp& app = range->apps().back();
+  if (app.kind != RangeApp::Kind::kConstructor || !app.range_args.empty() ||
+      !app.term_args.empty()) {
+    return none;
+  }
+  std::vector<RangeApp> base_apps(range->apps().begin(),
+                                  range->apps().end() - 1);
+  RangePtr edges =
+      std::make_shared<Range>(range->relation(), std::move(base_apps));
+  if (edges->ContainsConstructor()) return none;
+  DATACON_ASSIGN_OR_RETURN(const ConstructorDecl* ctor,
+                           catalog.LookupConstructor(app.name));
+  if (!DetectCapturedClosure(*ctor, catalog).has_value()) return none;
+  DATACON_ASSIGN_OR_RETURN(
+      const Schema* result_schema,
+      catalog.LookupRelationType(ctor->result_type_name()));
+  const std::string& source_field = result_schema->field(0).name;
+
+  for (const PredPtr& conjunct : FlattenConjuncts(branch.pred())) {
+    if (conjunct->kind() != Pred::Kind::kCompare) continue;
+    const auto& cmp = static_cast<const ComparePred&>(*conjunct);
+    if (cmp.op() != CompareOp::kEq) continue;
+    for (bool flip : {false, true}) {
+      const TermPtr& lhs = flip ? cmp.rhs() : cmp.lhs();
+      const TermPtr& rhs = flip ? cmp.lhs() : cmp.rhs();
+      if (lhs->kind() != Term::Kind::kFieldRef) continue;
+      const auto& field = static_cast<const FieldRefTerm&>(*lhs);
+      if (field.var() != binding.var || field.field() != source_field) {
         continue;
       }
-      const RangeApp& app = range->apps().back();
-      if (!app.range_args.empty() || !app.term_args.empty()) continue;
-      Result<const ConstructorDecl*> ctor = catalog.LookupConstructor(app.name);
-      if (!ctor.ok()) return ctor.status();
-      if (!DetectTransitiveClosure(*ctor.value()).has_value()) continue;
-
-      std::vector<RangeApp> base_apps(range->apps().begin(),
-                                      range->apps().end() - 1);
-      RangePtr edges = std::make_shared<Range>(range->relation(),
-                                               std::move(base_apps));
-      if (edges->ContainsConstructor()) continue;
-
-      DATACON_ASSIGN_OR_RETURN(
-          const Schema* result_schema,
-          catalog.LookupRelationType(ctor.value()->result_type_name()));
-      const std::string& source_field = result_schema->field(0).name;
-
-      for (const PredPtr& conjunct : FlattenConjuncts(branch.pred())) {
-        if (conjunct->kind() != Pred::Kind::kCompare) continue;
-        const auto& cmp = static_cast<const ComparePred&>(*conjunct);
-        if (cmp.op() != CompareOp::kEq) continue;
-        for (bool flip : {false, true}) {
-          const TermPtr& lhs = flip ? cmp.rhs() : cmp.lhs();
-          const TermPtr& rhs = flip ? cmp.lhs() : cmp.rhs();
-          if (lhs->kind() != Term::Kind::kFieldRef) continue;
-          const auto& field = static_cast<const FieldRefTerm&>(*lhs);
-          if (field.var() != binding.var || field.field() != source_field) {
-            continue;
-          }
-          SeededTcPlan plan;
-          plan.branch_index = bi;
-          plan.binding_index = j;
-          plan.edges_range = edges;
-          plan.result_schema = *result_schema;
-          if (rhs->kind() == Term::Kind::kLiteral) {
-            plan.seed_literal = static_cast<const LiteralTerm&>(*rhs).value();
-          } else if (rhs->kind() == Term::Kind::kParamRef) {
-            plan.seed_param = static_cast<const ParamRefTerm&>(*rhs).name();
-          } else {
-            continue;
-          }
-          return std::optional<SeededTcPlan>(std::move(plan));
-        }
+      SeededTcPlan plan;
+      plan.binding_index = *closure;
+      plan.edges_range = edges;
+      plan.result_schema = *result_schema;
+      if (rhs->kind() == Term::Kind::kLiteral) {
+        plan.seed_literal = static_cast<const LiteralTerm&>(*rhs).value();
+      } else if (rhs->kind() == Term::Kind::kParamRef) {
+        plan.seed_param = static_cast<const ParamRefTerm&>(*rhs).name();
+      } else {
+        continue;
       }
+      return std::optional<SeededTcPlan>(std::move(plan));
     }
   }
-  return std::optional<SeededTcPlan>();
+  return none;
 }
 
 }  // namespace datacon

@@ -44,7 +44,8 @@ Result<std::optional<CalcExprPtr>> InlineNonRecursiveApplications(
 /// is answered by computing reachability from the constant only. The plan
 /// records which branch binding to replace and where the seed comes from.
 struct SeededTcPlan {
-  /// Index of the branch within the query expression.
+  /// Index of the branch within the query expression (always 0: the plan
+  /// applies to single-branch queries only).
   size_t branch_index = 0;
   /// Index of the binding ranging over the closure.
   size_t binding_index = 0;
@@ -57,10 +58,11 @@ struct SeededTcPlan {
   std::optional<std::string> seed_param;
 };
 
-/// Detects a seeded-TC opportunity in `expr`. Conservative: triggers only
-/// when one branch binds a variable over `Base {c}` where `c` matches the
-/// transitive-closure capture rule, the base is constructor-free, and the
-/// predicate conjoins `v.<first result field> = <literal or parameter>`.
+/// Detects a seeded-TC plan for `expr`, returning only plans that apply:
+/// `expr` is one branch whose only constructed range is a binding over
+/// `Base {c}`, where the base is constructor-free, `c` passes
+/// DetectCapturedClosure, the predicate references no constructed range,
+/// and it conjoins `v.<first result field> = <literal or parameter>`.
 Result<std::optional<SeededTcPlan>> DetectSeededTc(const CalcExpr& expr,
                                                    const Catalog& catalog);
 

@@ -59,8 +59,7 @@ TEST(Diagnostic, EveryRegisteredConstantIsEnumerated) {
       kDiagRedefinition,     kDiagUnsafeVariable,
       kDiagUnsafeConstraint, kDiagConstraintUnknownRelation,
       kDiagTypeConflict,     kDiagIllTypedOperation,
-      kDiagCaptureNonBinary, kDiagUnusedBinding,
-      kDiagUnusedParameter,
+      kDiagUnusedBinding,    kDiagUnusedParameter,
       kDiagShadowedName,     kDiagCrossProduct,
       kDiagAlwaysFalseBranch, kDiagConstantConjunct,
       kDiagDuplicateBranch,  kDiagNonDifferentiable,

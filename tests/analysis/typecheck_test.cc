@@ -1,6 +1,6 @@
 // Unit tests for the whole-program type inference (analysis/typecheck.h):
 // the lattice fixpoint through constructor recursion, the inferred-schema
-// surface, and every new diagnostic (E130/E131/E132, W240/W241/W242). The
+// surface, and every new diagnostic (E130/E131, W240/W241/W242). The
 // declarations are built programmatically, so level-1's own checks never
 // interfere — each finding here comes from the inference pass alone.
 
@@ -229,12 +229,14 @@ TEST_F(TypecheckTest, UnconstrainedAttributesAreW241) {
             2);
 }
 
-// --- E132: the promoted capture-shape arity error ----------------------
+// --- A closure over two columns of a wider base -------------------------
 
-TEST_F(TypecheckTest, NonBinaryCaptureShapeIsE132AtDefineTime) {
-  // The transitive-closure capture shape over a ternary base (the base
-  // branch projects two of three columns) used to fail only at evaluation
-  // time, inside capture.cc. The inference pass reports it statically.
+TEST_F(TypecheckTest, NonBinaryClosureShapeIsAccepted) {
+  // The transitive-closure shape over a ternary base (the base branch
+  // projects two of three columns) is a legal, well-typed program: the
+  // capture rule does not apply to it, so the generic engine evaluates it
+  // (tests/integration/typed_semantics_test.cc) and inference finds
+  // nothing to report.
   ASSERT_TRUE(catalog_
                   .DefineRelationType(
                       "widerel", Schema({{"a", ValueType::kInt},
@@ -252,8 +254,9 @@ TEST_F(TypecheckTest, NonBinaryCaptureShapeIsE132AtDefineTime) {
       MakeCtor("tc3", "widerel", "edgerel", body)};
 
   std::vector<Diagnostic> diags = TypecheckConstructorGroup(group, catalog_);
-  ASSERT_TRUE(HasCode(diags, kDiagCaptureNonBinary));
-  EXPECT_EQ(FindCode(diags, kDiagCaptureNonBinary).severity, Severity::kError);
+  for (const Diagnostic& d : diags) {
+    EXPECT_NE(d.severity, Severity::kError) << d.ToString();
+  }
 }
 
 // --- Queries and selectors ---------------------------------------------

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "ast/builder.h"
+#include "core/catalog.h"
+#include "core/database.h"
+#include "lang/interpreter.h"
 #include "testutil.h"
 #include "workload/generators.h"
 
@@ -124,6 +130,98 @@ TEST(DetectTc, RejectsRecursionThroughOtherConstructor) {
                    .has_value());
 }
 
+// --- The position check (DetectCapturedClosure) ------------------------
+
+ConstructorDeclPtr MakeCtorOver(const std::string& base_type,
+                                const std::string& result_type,
+                                CalcExprPtr body) {
+  return std::make_shared<ConstructorDecl>(
+      "tc", FormalRelation{"Rel", base_type}, std::vector<FormalRelation>{},
+      std::vector<FormalScalar>{}, result_type, std::move(body));
+}
+
+class CapturedClosureTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(catalog_.DefineRelationType("edge", EdgeSchema()).ok());
+    ASSERT_TRUE(catalog_
+                    .DefineRelationType(
+                        "pair", Schema({{"head", ValueType::kInt},
+                                        {"tail", ValueType::kInt}}))
+                    .ok());
+    ASSERT_TRUE(catalog_
+                    .DefineRelationType(
+                        "wide", Schema({{"src", ValueType::kInt},
+                                        {"dst", ValueType::kInt},
+                                        {"w", ValueType::kInt}}))
+                    .ok());
+  }
+
+  bool Captured(const ConstructorDecl& decl) const {
+    return DetectCapturedClosure(decl, catalog_).has_value();
+  }
+
+  Catalog catalog_;
+};
+
+TEST_F(CapturedClosureTest, AcceptsEveryClosureOrientation) {
+  EXPECT_TRUE(Captured(*MakeCtor(Union({BaseBranch(), LeftLinearStep()}))));
+  BranchPtr right = MakeBranch({FieldRef("b", "src"), FieldRef("f", "dst")},
+                               {Each("f", Rel("Rel")),
+                                Each("b", Constructed(Rel("Rel"), "tc"))},
+                               Eq(FieldRef("b", "dst"), FieldRef("f", "src")));
+  EXPECT_TRUE(Captured(*MakeCtor(Union({BaseBranch(), right}))));
+  BranchPtr base = MakeBranch({FieldRef("r", "src"), FieldRef("r", "dst")},
+                              {Each("r", Rel("Rel"))}, True());
+  EXPECT_TRUE(Captured(*MakeCtor(Union({base, LeftLinearStep()}))));
+  // The `ahead` form: the result type names its fields differently.
+  BranchPtr ahead = MakeBranch({FieldRef("f", "src"), FieldRef("b", "tail")},
+                               {Each("f", Rel("Rel")),
+                                Each("b", Constructed(Rel("Rel"), "tc"))},
+                               Eq(FieldRef("f", "dst"), FieldRef("b", "head")));
+  EXPECT_TRUE(
+      Captured(*MakeCtorOver("edge", "pair", Union({BaseBranch(), ahead}))));
+}
+
+TEST_F(CapturedClosureTest, RejectsShapesThatMatchOnlyByName) {
+  // Each row passes DetectTransitiveClosure, which reads field names only;
+  // by position it is not a transitive closure, so it must not be captured.
+  struct Row {
+    const char* name;
+    ConstructorDeclPtr decl;
+  };
+  const Row rows[] = {
+      {"step projects and joins the swapped fields",
+       MakeCtor(Union(
+           {BaseBranch(),
+            MakeBranch({FieldRef("f", "dst"), FieldRef("b", "dst")},
+                       {Each("f", Rel("Rel")),
+                        Each("b", Constructed(Rel("Rel"), "tc"))},
+                       Eq(FieldRef("f", "src"), FieldRef("b", "src")))}))},
+      {"reversed base branch <r.dst, r.src>",
+       MakeCtor(Union({MakeBranch({FieldRef("r", "dst"), FieldRef("r", "src")},
+                                  {Each("r", Rel("Rel"))}, True()),
+                       LeftLinearStep()}))},
+      {"mis-oriented right-linear mirror",
+       MakeCtor(Union(
+           {BaseBranch(),
+            MakeBranch({FieldRef("b", "dst"), FieldRef("f", "src")},
+                       {Each("f", Rel("Rel")),
+                        Each("b", Constructed(Rel("Rel"), "tc"))},
+                       Eq(FieldRef("b", "src"), FieldRef("f", "dst")))}))},
+      {"ternary base",
+       MakeCtorOver(
+           "wide", "edge",
+           Union({MakeBranch({FieldRef("r", "src"), FieldRef("r", "dst")},
+                             {Each("r", Rel("Rel"))}, True()),
+                  LeftLinearStep()}))},
+  };
+  for (const Row& row : rows) {
+    EXPECT_TRUE(DetectTransitiveClosure(*row.decl).has_value()) << row.name;
+    EXPECT_FALSE(Captured(*row.decl)) << row.name;
+  }
+}
+
 Relation LoadEdges(const workload::EdgeList& g) {
   Relation r(EdgeSchema());
   for (const auto& [a, b] : g.edges) {
@@ -193,6 +291,89 @@ TEST(Closure, NonBinaryRelationRejected) {
                 .status()
                 .code(),
             StatusCode::kTypeError);
+}
+
+// --- End to end: the capture rule never changes an answer ---------------
+
+/// Every query answer of `script` as sorted tuple renderings, with the
+/// capture rule on or off.
+std::vector<std::set<std::string>> Answers(const std::string& script,
+                                           bool capture) {
+  DatabaseOptions options;
+  options.use_capture_rules = capture;
+  Database db(options);
+  Interpreter interp(&db);
+  Status s = interp.Execute(script);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  std::vector<std::set<std::string>> out;
+  for (const Interpreter::QueryResult& r : interp.results()) {
+    std::set<std::string> rows;
+    for (const Tuple& t : r.relation.tuples()) rows.insert(t.ToString());
+    out.push_back(std::move(rows));
+  }
+  return out;
+}
+
+TEST(CaptureRule, AnswersEqualGenericEvaluation) {
+  // Closure-shaped bodies over E = {<1,2>, <1,3>, <2,4>}, evaluated
+  // in full (`E {c}`) and seeded (`v.front = 1`). The first two are
+  // transitive closures and are captured; the other three only look like
+  // one by field names and run generically.
+  struct Shape {
+    const char* base;
+    const char* step;
+    bool captured;
+  };
+  const Shape shapes[] = {
+      {"EACH r IN Rel: TRUE",
+       "<f.front, b.back> OF EACH f IN Rel, EACH b IN Rel {c}: "
+       "f.back = b.front",
+       true},
+      {"<r.front, r.back> OF EACH r IN Rel: TRUE",
+       "<b.front, f.back> OF EACH f IN Rel, EACH b IN Rel {c}: "
+       "b.back = f.front",
+       true},
+      {"EACH r IN Rel: TRUE",
+       "<f.back, b.back> OF EACH f IN Rel, EACH b IN Rel {c}: "
+       "f.front = b.front",
+       false},
+      {"<r.back, r.front> OF EACH r IN Rel: TRUE",
+       "<f.front, b.back> OF EACH f IN Rel, EACH b IN Rel {c}: "
+       "f.back = b.front",
+       false},
+      {"EACH r IN Rel: TRUE",
+       "<b.back, f.front> OF EACH f IN Rel, EACH b IN Rel {c}: "
+       "b.front = f.back",
+       false},
+  };
+  for (const Shape& shape : shapes) {
+    const std::string script =
+        std::string(
+            "TYPE pairrel = RELATION OF RECORD front, back: INTEGER END;\n"
+            "VAR E: pairrel;\n"
+            "CONSTRUCTOR c FOR Rel: pairrel (): pairrel;\n"
+            "BEGIN ") +
+        shape.base + ",\n  " + shape.step +
+        "\nEND c;\n"
+        "INSERT INTO E <1, 2>, <1, 3>, <2, 4>;\n"
+        "QUERY E {c};\n"
+        "QUERY {EACH v IN E {c}: v.front = 1};\n";
+    std::vector<std::set<std::string>> on = Answers(script, true);
+    std::vector<std::set<std::string>> off = Answers(script, false);
+    ASSERT_EQ(on.size(), 2u) << shape.step;
+    EXPECT_EQ(on[0], off[0]) << "full: " << shape.base << ", " << shape.step;
+    EXPECT_EQ(on[1], off[1]) << "seeded: " << shape.base << ", "
+                             << shape.step;
+
+    Database db;
+    Interpreter interp(&db);
+    ASSERT_TRUE(interp.Execute(script).ok());
+    Result<std::string> explain = db.Explain(Constructed(Rel("E"), "c"));
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    EXPECT_EQ(explain->find("capture rule") != std::string::npos,
+              shape.captured)
+        << *explain;
+  }
 }
 
 }  // namespace

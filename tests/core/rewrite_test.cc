@@ -177,6 +177,36 @@ TEST_F(RewriteTest, NoSeededTcForNonTcConstructor) {
   EXPECT_FALSE(plan.value().has_value());
 }
 
+TEST_F(RewriteTest, NoSeededTcUnlessThePlanAnswersTheWholeQuery) {
+  // The seeded plan replaces the closure binding only, so it applies to a
+  // single branch whose closure binding is its only constructed range.
+  BranchPtr seeded = IdentityBranch("v", Constructed(Rel("E"), "tc"),
+                                    Eq(FieldRef("v", "src"), Int(0)));
+  const CalcExprPtr queries[] = {
+      // A second branch.
+      Union({seeded, IdentityBranch("w", Rel("E"), True())}),
+      // A second constructed binding.
+      Union({MakeBranch(
+          {FieldRef("v", "src"), FieldRef("w", "dst")},
+          {Each("v", Constructed(Rel("E"), "tc")),
+           Each("w", Constructed(Rel("E"), "tc"))},
+          And({Eq(FieldRef("v", "src"), Int(0)),
+               Eq(FieldRef("v", "dst"), FieldRef("w", "src"))}))}),
+      // A constructed range in the predicate.
+      Union({IdentityBranch(
+          "v", Constructed(Rel("E"), "tc"),
+          And({Eq(FieldRef("v", "src"), Int(0)),
+               Some("w", Constructed(Rel("E"), "tc"),
+                    Eq(FieldRef("w", "src"), FieldRef("v", "dst")))}))}),
+  };
+  for (const CalcExprPtr& query : queries) {
+    Result<std::optional<SeededTcPlan>> plan =
+        DetectSeededTc(*query, db_.catalog());
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_FALSE(plan.value().has_value()) << ToString(*query);
+  }
+}
+
 TEST_F(RewriteTest, SeededTcWithResidualConjuncts) {
   ASSERT_TRUE(workload::LoadEdges(&db_, "E", workload::Chain(10)).ok());
   // v.src = 0 AND v.dst # 3 — the seed equality triggers the plan; the

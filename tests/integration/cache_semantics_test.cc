@@ -110,9 +110,9 @@ TEST(CacheSemantics, EveryExampleProgramIsBitIdentical) {
 }
 
 TEST(CacheSemantics, ExamplesAlsoMatchWithoutCaptureRules) {
-  // Capture rules answer closure-shaped constructors before the generic
-  // fixpoint; turning them off drives every example through the cached
-  // component path too.
+  // The capture rule answers closure-shaped components by FullClosure;
+  // turning it off drives every example through the generic fixpoints on
+  // the same cached component path. Either way the answers are the same.
   const std::filesystem::path dir(DATACON_EXAMPLES_DIR);
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() != ".dbpl") continue;
@@ -126,6 +126,8 @@ TEST(CacheSemantics, ExamplesAlsoMatchWithoutCaptureRules) {
         RunScript(buffer.str(), /*cache=*/false, /*use_capture_rules=*/false);
     EXPECT_EQ(on.results, off.results) << entry.path();
     EXPECT_EQ(on.last_stats_digest, off.last_stats_digest) << entry.path();
+    RunOutcome captured = RunScript(buffer.str(), /*cache=*/true);
+    EXPECT_EQ(captured.results, on.results) << entry.path();
   }
 }
 
@@ -153,11 +155,29 @@ TEST(CacheSemantics, CaptureClosuresAreCachedToo) {
   Database db;  // capture rules on (default)
   Interpreter interp(&db);
   ASSERT_TRUE(interp.Execute(kAheadProgram).ok());
+  EXPECT_EQ(db.last_record().cache_misses, 1u);
   ASSERT_TRUE(interp.Execute("QUERY Infront {ahead};").ok());
-  EXPECT_GE(db.mat_cache().stats().hits, 1);
+  EXPECT_EQ(db.mat_cache().stats().hits, 1);
+  EXPECT_EQ(db.last_record().cache_hits, 1u);
+  EXPECT_EQ(db.last_record().cache_misses, 0u);
   ASSERT_EQ(interp.results().size(), 2u);
   EXPECT_EQ(Canonical(interp.results()[0].relation),
             Canonical(interp.results()[1].relation));
+
+  // A captured closure is never delta-maintained: insert churn makes the
+  // next query a miss that recomputes the closure.
+  const char* churn =
+      "INSERT INTO Infront <\"wall\", \"door\">;\n"
+      "QUERY Infront {ahead};\n";
+  ASSERT_TRUE(interp.Execute(churn).ok());
+  EXPECT_EQ(db.last_record().cache_misses, 1u);
+  EXPECT_EQ(db.last_record().cache_hits, 0u);
+  EXPECT_EQ(db.last_record().cache_delta_hits, 0u);
+  EXPECT_EQ(db.mat_cache().stats().delta_maintained, 0);
+  RunOutcome cold =
+      RunScript(std::string(kAheadProgram) + churn, /*cache=*/false);
+  ASSERT_EQ(interp.results().size(), 3u);
+  EXPECT_EQ(Canonical(interp.results()[2].relation), cold.results.back());
 }
 
 TEST(CacheSemantics, InsertChurnIsDeltaMaintainedAndMatchesRecompute) {

@@ -1,11 +1,12 @@
 // Differential testing over randomly generated positive constructor
 // systems: for each seed, a random family of (possibly mutually) recursive
-// binary constructors is defined, then evaluated four ways —
+// binary constructors is defined, then evaluated several ways —
 //
 //   * semi-naive bottom-up (the default engine),
 //   * naive bottom-up (the paper's REPEAT loop),
-//   * with and without capture rules / inlining,
-//   * top-down tabled SLD over the Horn translation (section 3.4),
+//   * with capture rules alone, and with capture rules and inlining,
+//   * top-down tabled SLD over the Horn translation (section 3.4), on the
+//     first kTopDownSeeds seeds (proof search dominates the run time),
 //
 // and all results must agree tuple-for-tuple. This is the strongest check
 // in the suite: any soundness or completeness bug in instantiation,
@@ -70,6 +71,9 @@ Status DefineRandomSystem(Database* db, int k, std::mt19937_64* rng) {
   return db->DefineConstructorGroup(decls);
 }
 
+/// Seeds below this bound also run top-down tabled SLD.
+constexpr int kTopDownSeeds = 10;
+
 class RandomProgramTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomProgramTest, AllEnginesAgree) {
@@ -88,6 +92,7 @@ TEST_P(RandomProgramTest, AllEnginesAgree) {
   const Config configs[] = {
       {"semi-naive", FixpointStrategy::kSemiNaive, false, false},
       {"naive", FixpointStrategy::kNaive, false, false},
+      {"semi-naive+capture", FixpointStrategy::kSemiNaive, true, false},
       {"semi-naive+opt", FixpointStrategy::kSemiNaive, true, true},
   };
 
@@ -118,6 +123,7 @@ TEST_P(RandomProgramTest, AllEnginesAgree) {
       }
     }
 
+    if (GetParam() >= kTopDownSeeds) continue;
     // Top-down tabled SLD over the Horn translation must agree too.
     // Random mutual programs can blow up proof search combinatorially (the
     // paper's point!), so the check runs under a resolution budget and the
@@ -141,7 +147,7 @@ TEST_P(RandomProgramTest, AllEnginesAgree) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramTest, ::testing::Range(0, 10));
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramTest, ::testing::Range(0, 200));
 
 }  // namespace
 }  // namespace datacon

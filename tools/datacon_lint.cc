@@ -14,9 +14,9 @@
 // script inserts already refute a constraint, W232 when no statement of the
 // script can ever change one of the constraint's input relations. --types
 // additionally runs whole-program type inference (analysis/typecheck.h) and
-// reports E130/E131/E132/W240/W241/W242 for type conflicts, ill-typed
-// operations, non-binary capture shapes, statically constant comparisons,
-// unconstrained derived attributes, and union name mismatches. Exit
+// reports E130/E131/W240/W241/W242 for type conflicts, ill-typed
+// operations, statically constant comparisons, unconstrained derived
+// attributes, and union name mismatches. Exit
 // status: 0 when no file has errors (under --werror, when no file has any
 // diagnostic at all), 1 otherwise, 2 on usage or I/O failure.
 
@@ -57,7 +57,7 @@ void PrintHelp() {
          "             constraint, W232 when no statement can ever change\n"
          "             one of its input relations\n"
          "  --types    run whole-program type inference and report\n"
-         "             E130/E131/E132 type errors and W240/W241/W242\n"
+         "             E130/E131 type errors and W240/W241/W242\n"
          "             type warnings\n"
          "  --codes    list every diagnostic code with its meaning and exit\n"
          "  --version  print version and build info and exit\n"
