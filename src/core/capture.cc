@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "ra/analysis.h"
+#include "storage/index.h"
 
 namespace datacon {
 
@@ -176,9 +177,10 @@ std::unordered_map<Value, std::vector<Value>> BuildAdjacency(
   return adj;
 }
 
-/// Appends (source, x) for every x reachable from `source` via >= 1 edge.
-Status ClosureFrom(const Value& source,
-                   const std::unordered_map<Value, std::vector<Value>>& adj,
+/// Appends (source, x) for every x reachable from `source` via >= 1 edge;
+/// `for_each_next(v, fn)` calls `fn` on every successor of `v`.
+template <typename ForEachNext>
+Status ClosureFrom(const Value& source, const ForEachNext& for_each_next,
                    Relation* out) {
   std::unordered_set<Value> visited;
   std::deque<Value> frontier;
@@ -186,15 +188,17 @@ Status ClosureFrom(const Value& source,
   while (!frontier.empty()) {
     Value v = std::move(frontier.front());
     frontier.pop_front();
-    auto it = adj.find(v);
-    if (it == adj.end()) continue;
-    for (const Value& next : it->second) {
-      if (!visited.insert(next).second) continue;
-      DATACON_ASSIGN_OR_RETURN(bool grew,
-                               out->Insert(Tuple({source, next})));
-      (void)grew;
+    Status status = Status::OK();
+    for_each_next(v, [&](const Value& next) {
+      if (!status.ok() || !visited.insert(next).second) return;
+      Result<bool> grew = out->Insert(Tuple({source, next}));
+      if (!grew.ok()) {
+        status = grew.status();
+        return;
+      }
       frontier.push_back(next);
-    }
+    });
+    DATACON_RETURN_IF_ERROR(status);
   }
   return Status::OK();
 }
@@ -207,10 +211,15 @@ Result<Relation> FullClosure(const Relation& edges,
     return Status::TypeError("transitive closure requires binary relations");
   }
   std::unordered_map<Value, std::vector<Value>> adj = BuildAdjacency(edges);
+  auto for_each_next = [&adj](const Value& v, const auto& fn) {
+    auto it = adj.find(v);
+    if (it == adj.end()) return;
+    for (const Value& next : it->second) fn(next);
+  };
   Relation out(result_schema);
   for (const auto& [source, unused] : adj) {
     (void)unused;
-    DATACON_RETURN_IF_ERROR(ClosureFrom(source, adj, &out));
+    DATACON_RETURN_IF_ERROR(ClosureFrom(source, for_each_next, &out));
   }
   return out;
 }
@@ -221,10 +230,16 @@ Result<Relation> SeededClosure(const Relation& edges,
   if (edges.schema().arity() != 2 || result_schema.arity() != 2) {
     return Status::TypeError("transitive closure requires binary relations");
   }
-  std::unordered_map<Value, std::vector<Value>> adj = BuildAdjacency(edges);
+  // The edges' own index on the source column: built on the first seeded
+  // lookup and kept current by later inserts, so a lookup visits only the
+  // edges reachable from its seeds.
+  const HashIndex& by_src = edges.IndexOn({0});
+  auto for_each_next = [&by_src](const Value& v, const auto& fn) {
+    for (const Tuple* t : by_src.Probe(Tuple({v}))) fn(t->value(1));
+  };
   Relation out(result_schema);
   for (const Value& seed : seeds) {
-    DATACON_RETURN_IF_ERROR(ClosureFrom(seed, adj, &out));
+    DATACON_RETURN_IF_ERROR(ClosureFrom(seed, for_each_next, &out));
   }
   return out;
 }

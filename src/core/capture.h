@@ -68,7 +68,9 @@ Result<Relation> FullClosure(const Relation& edges,
 /// The tuples of the transitive closure whose first component is in
 /// `seeds` — the "magic" variant used when a query binds the source
 /// attribute (the paper's `Infront [hidden_by("table")] {ahead}` plan):
-/// only reachability from the seeds is ever computed.
+/// only reachability from the seeds is ever computed. Walks the edges'
+/// own index on the source column (Relation::IndexOn), so a lookup over an
+/// indexed relation costs O(answer), not O(edges).
 Result<Relation> SeededClosure(const Relation& edges,
                                const std::vector<Value>& seeds,
                                const Schema& result_schema);

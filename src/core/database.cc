@@ -50,11 +50,13 @@ Status Database::CreateRelation(const std::string& name,
 
 Status Database::Insert(const std::string& relation, Tuple tuple) {
   DATACON_ASSIGN_OR_RETURN(Relation * rel, catalog_.LookupRelation(relation));
+  const std::vector<CompiledConstraint*> verified = VerifiedConstraints();
   DATACON_ASSIGN_OR_RETURN(bool grew, rel->Insert(tuple));
   if (grew) {
     Status checked = CheckConstraintsAfterUpdate();
     if (!checked.ok()) {
       rel->Erase(tuple);
+      RestoreBaselines(verified);
       return checked;
     }
   }
@@ -64,6 +66,7 @@ Status Database::Insert(const std::string& relation, Tuple tuple) {
 Status Database::InsertAll(const std::string& relation,
                            const std::vector<Tuple>& tuples) {
   DATACON_ASSIGN_OR_RETURN(Relation * rel, catalog_.LookupRelation(relation));
+  const std::vector<CompiledConstraint*> verified = VerifiedConstraints();
   std::vector<Tuple> grown;
   grown.reserve(tuples.size());
   Status status = Status::OK();
@@ -79,6 +82,7 @@ Status Database::InsertAll(const std::string& relation,
   if (!status.ok()) {
     // Statement atomicity: undo exactly the tuples this statement added.
     for (const Tuple& t : grown) rel->Erase(t);
+    RestoreBaselines(verified);
     return status;
   }
   return Status::OK();
@@ -98,11 +102,13 @@ Status Database::Assign(const std::string& relation, const Relation& value) {
   // unchanged — the paper's IF <test> THEN rel := rex ELSE <exception>.
   Relation fresh(rel->schema());
   DATACON_RETURN_IF_ERROR(fresh.InsertAll(value));
+  const std::vector<CompiledConstraint*> verified = VerifiedConstraints();
   Relation saved = std::move(*rel);
   *rel = std::move(fresh);
   Status checked = CheckConstraintsAfterUpdate();
   if (!checked.ok()) {
     *rel = std::move(saved);
+    RestoreBaselines(verified);
     return checked;
   }
   return Status::OK();
@@ -298,6 +304,31 @@ Status Database::DefineConstraint(ConstraintDeclPtr decl) {
   return Status::OK();
 }
 
+std::vector<Database::CompiledConstraint*> Database::VerifiedConstraints() {
+  std::vector<CompiledConstraint*> verified;
+  for (auto& [name, compiled] : constraints_) {
+    bool current = true;
+    for (const auto& [input, generation] : compiled.snapshot) {
+      Result<Relation*> rel = catalog_.LookupRelation(input);
+      if (!rel.ok() || rel.value()->generation() != generation) {
+        current = false;
+        break;
+      }
+    }
+    if (current) verified.push_back(&compiled);
+  }
+  return verified;
+}
+
+void Database::RestoreBaselines(
+    const std::vector<CompiledConstraint*>& verified) {
+  for (CompiledConstraint* compiled : verified) {
+    for (auto& [input, generation] : compiled->snapshot) {
+      generation = catalog_.LookupRelation(input).value()->generation();
+    }
+  }
+}
+
 Status Database::CheckConstraintsAfterUpdate() {
   if (!options_.constraints || constraints_.empty()) return Status::OK();
   for (auto& [name, compiled] : constraints_) {
@@ -406,10 +437,22 @@ Status Database::CheckOneConstraint(CompiledConstraint* constraint) {
 
 std::string Database::DescribeConstraints() const {
   if (constraints_.empty()) return "no constraints defined\n";
+  // A check's physical plan: each branch as the executor runs it (probes
+  // over the catalog relations' own indexes, scans, filters).
+  auto plan = [this](const PreparedQuery& query) {
+    std::string text;
+    for (const BranchPtr& branch : query.plan_.expr->branches()) {
+      Result<std::string> one = ExplainBranch(*branch);
+      if (!text.empty()) text += " | ";
+      text += one.ok() ? one.value() : one.status().ToString();
+    }
+    return text;
+  };
   std::string out;
   for (const auto& [name, compiled] : constraints_) {
     out += ToString(*compiled.decl) + "\n";
-    out += "  full check: " + compiled.full->plan_description() + "\n";
+    out += "  full check: ";
+    out += plan(*compiled.full) + "\n";
     for (const auto& [relation, event] : compiled.events) {
       out += "  on INSERT INTO " + relation + ": " +
              std::string(ConstraintCheckModeName(event.insert_mode));
@@ -419,8 +462,8 @@ std::string Database::DescribeConstraints() const {
       }
       out += "\n";
       for (size_t i = 0; i < event.residues.size(); ++i) {
-        out += "    residue " + std::to_string(i) + ": " +
-               event.residues[i].query.plan_description() + "\n";
+        out += "    residue " + std::to_string(i) + ": ";
+        out += plan(event.residues[i].query) + "\n";
       }
     }
     out += "  on erase/rebase of any input: full recheck\n";
@@ -612,8 +655,11 @@ Result<Relation> Database::ExecuteSeeded(const CalcExprPtr& expr,
       }
       seed = *bound;
     }
+    const size_t edge_indexes = edges->index_count();
     DATACON_ASSIGN_OR_RETURN(Relation closure,
                              SeededClosure(*edges, {seed}, plan.result_schema));
+    // The first seeded lookup over these edges builds their source index.
+    ev.record().physical_index_builds += edges->index_count() - edge_indexes;
     if (span.active()) {
       span.AddArg("edge_tuples", static_cast<int64_t>(edges->size()));
       span.AddArg("closure_tuples", static_cast<int64_t>(closure.size()));
@@ -805,19 +851,22 @@ Result<std::string> Database::Explain(const RangePtr& range) const {
   for (const ApplicationGraph::Node& node : graph.nodes()) {
     out += "  [" + node.key + "]\n";
     for (const BranchPtr& branch : node.body->branches()) {
-      std::vector<BindingSchema> schemas;
-      for (const Binding& b : branch->bindings()) {
-        DATACON_ASSIGN_OR_RETURN(const Schema* schema,
-                                 RangeSchemaOf(*b.range, catalog_));
-        schemas.push_back(BindingSchema{b.var, schema});
-      }
-      DATACON_ASSIGN_OR_RETURN(
-          std::string plan,
-          ExplainBranchPlan(*branch, schemas, options_.eval.exec));
+      DATACON_ASSIGN_OR_RETURN(std::string plan, ExplainBranch(*branch));
       out += "    " + plan + "\n";
     }
   }
   return out;
+}
+
+Result<std::string> Database::ExplainBranch(const Branch& branch) const {
+  std::vector<BindingSchema> schemas;
+  for (const Binding& b : branch.bindings()) {
+    DATACON_ASSIGN_OR_RETURN(const Schema* schema,
+                             RangeSchemaOf(*b.range, catalog_));
+    // A plain range names a catalog relation variable.
+    schemas.push_back(BindingSchema{b.var, schema, b.range->IsPlain()});
+  }
+  return ExplainBranchPlan(branch, schemas, options_.eval.exec);
 }
 
 }  // namespace datacon

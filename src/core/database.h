@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "analysis/constraint.h"
 #include "analysis/lint.h"
@@ -210,8 +211,9 @@ class Database {
   /// catalog is left untouched).
   Status DefineConstraint(ConstraintDeclPtr decl);
 
-  /// The `SHOW CONSTRAINTS;` table: every constraint with its compiled
-  /// full-check plan and per-input-relation event modes/residue plans.
+  /// The `SHOW CONSTRAINTS;` table: every constraint with the physical
+  /// plan of its full check and its per-input-relation event modes and
+  /// residue plans.
   std::string DescribeConstraints() const;
 
   // --- Static analysis ---
@@ -344,6 +346,24 @@ class Database {
   /// failure.
   Status CheckConstraintsAfterUpdate();
   Status CheckOneConstraint(CompiledConstraint* constraint);
+
+  /// The physical plan of one branch (ExplainBranchPlan) as the executor
+  /// runs it under options(): EXPLAIN's level 3 and SHOW CONSTRAINTS.
+  Result<std::string> ExplainBranch(const Branch& branch) const;
+
+  /// The constraints whose snapshots equal the current generations of all
+  /// their inputs: they verified the current state. Taken before a
+  /// statement mutates anything.
+  std::vector<CompiledConstraint*> VerifiedConstraints();
+
+  /// After a failed statement's rollback restored the pre-statement tuple
+  /// sets: moves the snapshots of `verified` (VerifiedConstraints before
+  /// the statement) to the post-rollback generations. The rollback's
+  /// erase or assignment discarded the insert log, but these constraints
+  /// already verified exactly this state, so the next statement replays
+  /// only its own inserts instead of re-checking in full. Every other
+  /// snapshot stays as stale as it was.
+  void RestoreBaselines(const std::vector<CompiledConstraint*>& verified);
 
   /// Shared evaluation pipeline: level-2 rewrites + plan dispatch, wrapped
   /// in the per-query observability (trace span, latency/rounds/tuples

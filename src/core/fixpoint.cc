@@ -41,7 +41,7 @@ void QueryRecord::AddBranchExec(const BranchExecStats& exec,
   if (count_inserted) stats.tuples_inserted += exec.inserted;
   stats.outer_tuples += exec.outer_tuples;
   stats.index_builds += exec.index_builds;
-  physical_index_builds += exec.index_builds;
+  physical_index_builds += exec.physical_index_builds;
   stats.index_probes += exec.index_probes;
   stats.snapshot_materializations += exec.snapshots;
   stats.chunks_dispatched += exec.chunks;

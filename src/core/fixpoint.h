@@ -79,9 +79,11 @@ struct EvalStats {
   size_t tuples_considered = 0;
   /// Tuples actually added across all application relations.
   size_t tuples_inserted = 0;
-  /// Tuples scanned at the outermost level of every branch execution.
+  /// Tuples tried at the outermost level of every branch execution (all
+  /// of a scan, the hits of a level-0 probe).
   size_t outer_tuples = 0;
-  /// Hash indexes built for inner join levels.
+  /// Indexed branch levels (inner join levels and probing level 0s),
+  /// counted per branch execution whether the index was built or reused.
   size_t index_builds = 0;
   /// Probe calls against those indexes.
   size_t index_probes = 0;
@@ -123,8 +125,11 @@ struct QueryRecord {
   /// Deterministic size estimate of those materializations (see
   /// ApproxRelationBytes) — an attribution unit, not a malloc audit.
   size_t approx_bytes = 0;
-  /// Hash indexes this evaluation actually built. Unlike
-  /// stats.index_builds, a cache hit replays nothing here.
+  /// Hash indexes this evaluation actually built or rebuilt (relations
+  /// keep their indexes, Relation::IndexOn). Unlike stats.index_builds,
+  /// which counts indexed levels whether their index was built or reused,
+  /// this depends on what earlier statements left behind, and a cache hit
+  /// replays nothing here.
   size_t physical_index_builds = 0;
   /// Materialization-cache outcomes, counted where a lookup is consumed:
   /// once per consulted component key and capture-closure key. A delta hit

@@ -76,6 +76,25 @@ std::set<std::string> FreeVars(const Pred& pred) {
   return out;
 }
 
+std::optional<VarEquality> MatchVarEquality(const Pred& conjunct,
+                                            const std::string& var) {
+  if (conjunct.kind() != Pred::Kind::kCompare) return std::nullopt;
+  const auto& cmp = static_cast<const ComparePred&>(conjunct);
+  if (cmp.op() != CompareOp::kEq) return std::nullopt;
+  for (bool flip : {false, true}) {
+    const Term& side = flip ? *cmp.rhs() : *cmp.lhs();
+    const TermPtr& other = flip ? cmp.lhs() : cmp.rhs();
+    if (side.kind() != Term::Kind::kFieldRef) continue;
+    const auto& ref = static_cast<const FieldRefTerm&>(side);
+    if (ref.var() != var) continue;
+    std::set<std::string> other_vars;
+    CollectFreeVars(*other, &other_vars);
+    if (other_vars.count(var) > 0) continue;
+    return VarEquality{ref.field(), other};
+  }
+  return std::nullopt;
+}
+
 namespace {
 void FlattenInto(const PredPtr& pred, std::vector<PredPtr>* out) {
   if (pred->kind() == Pred::Kind::kAnd) {

@@ -1,6 +1,7 @@
 #ifndef DATACON_RA_ANALYSIS_H_
 #define DATACON_RA_ANALYSIS_H_
 
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,6 +20,17 @@ void CollectFreeVars(const Pred& pred, std::set<std::string>* out);
 
 /// The free tuple variables of `pred`.
 std::set<std::string> FreeVars(const Pred& pred);
+
+/// A conjunct `var.field = other` (either orientation) whose `other` side
+/// is free of `var`: the shape a hash probe on `var`'s `field` answers.
+struct VarEquality {
+  std::string field;
+  TermPtr other;
+};
+
+/// The VarEquality `conjunct` is over `var`, or nullopt.
+std::optional<VarEquality> MatchVarEquality(const Pred& conjunct,
+                                            const std::string& var);
 
 /// Splits `pred` into its top-level conjuncts: an AndPred flattens
 /// (recursively through nested ANDs); anything else is a single conjunct.

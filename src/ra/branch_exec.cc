@@ -1,5 +1,6 @@
 #include "ra/branch_exec.h"
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -9,6 +10,7 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "ra/analysis.h"
 #include "ra/branch_plan.h"
 #include "storage/index.h"
 
@@ -92,6 +94,92 @@ class SnapshotResolver : public RelationResolver {
   std::map<const Range*, const Relation*> cache_;
 };
 
+/// `rel`'s own index on `columns` (Relation::IndexOn), counting a physical
+/// build — traced as an `index build` span — when this call creates it.
+/// Only ever called on the thread that owns the branch execution, before
+/// any fan-out: workers must never create an index.
+const HashIndex& RequestIndex(const Relation& rel,
+                              const std::vector<int>& columns,
+                              const std::string& var, BranchExecStats* stats) {
+  if (const HashIndex* index = rel.FindIndex(columns)) return *index;
+  TraceSpan span("index build");
+  if (span.active()) {
+    span.AddArg("binding", var);
+    span.AddArg("tuples", static_cast<int64_t>(rel.size()));
+  }
+  ++stats->physical_index_builds;
+  return rel.IndexOn(columns);
+}
+
+/// Compiles a QuantProbe for every SOME quantifier in `pred`, nested ones
+/// included, whose range is a plain name resolving to a catalog relation
+/// variable and whose body has top-level key equalities on its variable.
+/// Each probed index is requested here, once per branch execution.
+void CompileQuantProbes(const Pred& pred, const RelationResolver* resolver,
+                        QuantProbes* out, BranchExecStats* stats) {
+  switch (pred.kind()) {
+    case Pred::Kind::kBool:
+    case Pred::Kind::kCompare:
+    case Pred::Kind::kIn:
+      return;
+    case Pred::Kind::kAnd:
+      for (const PredPtr& op : static_cast<const AndPred&>(pred).operands()) {
+        CompileQuantProbes(*op, resolver, out, stats);
+      }
+      return;
+    case Pred::Kind::kOr:
+      for (const PredPtr& op : static_cast<const OrPred&>(pred).operands()) {
+        CompileQuantProbes(*op, resolver, out, stats);
+      }
+      return;
+    case Pred::Kind::kNot:
+      CompileQuantProbes(*static_cast<const NotPred&>(pred).operand(),
+                         resolver, out, stats);
+      return;
+    case Pred::Kind::kQuant: {
+      const auto& p = static_cast<const QuantPred&>(pred);
+      CompileQuantProbes(*p.body(), resolver, out, stats);
+      // A plain name resolves to its catalog relation without evaluating
+      // anything; any other range (or a failing resolution, which the
+      // evaluation then reports) keeps the scan.
+      if (p.quantifier() != Quantifier::kSome || !p.range()->IsPlain() ||
+          resolver == nullptr) {
+        return;
+      }
+      std::vector<VarEquality> keys;
+      for (const PredPtr& c : FlattenConjuncts(p.body())) {
+        if (std::optional<VarEquality> eq = MatchVarEquality(*c, p.var())) {
+          keys.push_back(std::move(*eq));
+        }
+      }
+      if (keys.empty()) return;
+      Result<const Relation*> rel = resolver->Resolve(*p.range());
+      if (!rel.ok() || !rel.value()->is_catalog_variable()) return;
+      // (column, key term) in column order, like PlanBranchLevels' keys.
+      std::vector<std::pair<int, TermPtr>> by_column;
+      for (VarEquality& eq : keys) {
+        std::optional<int> idx = rel.value()->schema().FieldIndex(eq.field);
+        if (!idx.has_value()) return;
+        by_column.emplace_back(*idx, std::move(eq.other));
+      }
+      std::stable_sort(by_column.begin(), by_column.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.first < b.first;
+                       });
+      QuantProbe probe{rel.value(), nullptr, {}};
+      std::vector<int> columns;
+      for (auto& [column, term] : by_column) {
+        columns.push_back(column);
+        probe.keys.push_back(std::move(term));
+      }
+      probe.index = &RequestIndex(*probe.relation, columns, p.var(), stats);
+      out->emplace(&p, std::move(probe));
+      return;
+    }
+  }
+  DATACON_UNREACHABLE("pred kind");
+}
+
 /// The compiled, read-only execution state of one branch: shared without
 /// synchronization by every worker of a fan-out. All mutable state (the
 /// environment, the output relation, the counters) is passed through the
@@ -100,21 +188,65 @@ struct BranchPipeline {
   const Branch* branch;
   const std::vector<ResolvedBinding>* bindings;
   const std::vector<BranchLevelPlan>* levels;
-  const std::vector<std::unique_ptr<HashIndex>>* indexes;
+  /// Per level: the bound relation's own index when the level probes, else
+  /// null. Requested before execution, so workers only read them.
+  const std::vector<const HashIndex*>* indexes;
   size_t n;
 
-  /// Binds `t` at `level`, applies the level's filters, and descends.
-  Status TryTuple(size_t level, const Tuple& t, const Evaluator& eval,
+  /// Binds `t` at `level`, applies `filters` (the level's), and descends.
+  Status TryTuple(size_t level, const Tuple& t,
+                  const std::vector<PredPtr>& filters, const Evaluator& eval,
                   Environment& env, Relation* out,
                   BranchExecStats* stats) const {
     if (level == 0) ++stats->outer_tuples;
     const ResolvedBinding& b = (*bindings)[level];
     env.Bind(b.var, &t, &b.relation->schema());
-    for (const PredPtr& f : (*levels)[level].filters) {
+    for (const PredPtr& f : filters) {
       DATACON_ASSIGN_OR_RETURN(bool ok, eval.EvalPred(*f, env));
       if (!ok) return Status::OK();
     }
     return Descend(level + 1, eval, env, out, stats);
+  }
+
+  /// The tuples a probing `level` fetches under `env`: evaluates the outer
+  /// sides of the key equalities and looks them up. Null when the key
+  /// cannot be used — it fails to evaluate, or a checked run finds a value
+  /// of the wrong type — and the level must run its `scan_filters` over
+  /// every tuple instead, which reports or rejects exactly what the
+  /// probe-free plan would.
+  const std::vector<const Tuple*>* Probe(size_t level, const Evaluator& eval,
+                                         const Environment& env,
+                                         BranchExecStats* stats) const {
+    const BranchLevelPlan& lv = (*levels)[level];
+    const Schema& schema = (*bindings)[level].relation->schema();
+    std::vector<Value> key_values;
+    key_values.reserve(lv.keys.size());
+    for (const BranchLevelPlan::KeyEquality& k : lv.keys) {
+      Result<Value> v = eval.EvalTerm(*k.outer, env);
+      if (!v.ok() || (!eval.typed_proven() &&
+                      v->type() != schema.field(k.inner_field_index).type)) {
+        return nullptr;
+      }
+      key_values.push_back(std::move(v).value());
+    }
+    ++stats->index_probes;
+    return &(*indexes)[level]->Probe(Tuple(std::move(key_values)));
+  }
+
+  /// What `level` reads under `env`: a probe's hits under the level's
+  /// filters, or — `hits` null — every tuple of its relation under the
+  /// filters of a scan (`scan_filters` when a probe had to fall back).
+  struct Candidates {
+    const std::vector<const Tuple*>* hits;
+    const std::vector<PredPtr>* filters;
+  };
+  Candidates CandidatesOf(size_t level, const Evaluator& eval,
+                          const Environment& env,
+                          BranchExecStats* stats) const {
+    const BranchLevelPlan& lv = (*levels)[level];
+    if ((*indexes)[level] == nullptr) return {nullptr, &lv.filters};
+    const std::vector<const Tuple*>* hits = Probe(level, eval, env, stats);
+    return {hits, hits != nullptr ? &lv.filters : &lv.scan_filters};
   }
 
   /// Runs levels [level, n) of the pipeline under the bindings already in
@@ -142,33 +274,16 @@ struct BranchPipeline {
       return Status::OK();
     }
 
-    const Relation& rel = *(*bindings)[level].relation;
-    const BranchLevelPlan& lv = (*levels)[level];
-
-    if ((*indexes)[level] != nullptr) {
-      // Hash-join probe: evaluate the outer sides of the key equalities,
-      // fetch exactly the matching tuples. A stale index (its relation grew
-      // after the build) would silently miss the new tuples, so it is a
-      // hard error — callers must never mutate a bound relation mid-branch.
-      if (!(*indexes)[level]->InSync()) {
-        return Status::Internal(
-            "hash index over binding '" + (*bindings)[level].var +
-            "' is stale: the relation grew after the index was built");
-      }
-      std::vector<Value> key_values;
-      key_values.reserve(lv.keys.size());
-      for (const BranchLevelPlan::KeyEquality& k : lv.keys) {
-        DATACON_ASSIGN_OR_RETURN(Value v, eval.EvalTerm(*k.outer, env));
-        key_values.push_back(std::move(v));
-      }
-      ++stats->index_probes;
-      for (const Tuple* t :
-           (*indexes)[level]->Probe(Tuple(std::move(key_values)))) {
-        DATACON_RETURN_IF_ERROR(TryTuple(level, *t, eval, env, out, stats));
+    const Candidates c = CandidatesOf(level, eval, env, stats);
+    if (c.hits != nullptr) {
+      for (const Tuple* t : *c.hits) {
+        DATACON_RETURN_IF_ERROR(
+            TryTuple(level, *t, *c.filters, eval, env, out, stats));
       }
     } else {
-      for (const Tuple& t : rel.tuples()) {
-        DATACON_RETURN_IF_ERROR(TryTuple(level, t, eval, env, out, stats));
+      for (const Tuple& t : (*bindings)[level].relation->tuples()) {
+        DATACON_RETURN_IF_ERROR(
+            TryTuple(level, t, *c.filters, eval, env, out, stats));
       }
     }
     env.Unbind((*bindings)[level].var);
@@ -196,61 +311,81 @@ Status ExecuteBranch(const Branch& branch,
   std::vector<BindingSchema> schemas;
   schemas.reserve(n);
   for (const ResolvedBinding& b : bindings) {
-    schemas.push_back(BindingSchema{b.var, &b.relation->schema()});
+    schemas.push_back(BindingSchema{b.var, &b.relation->schema(),
+                                    b.relation->is_catalog_variable()});
   }
   DATACON_ASSIGN_OR_RETURN(std::vector<BranchLevelPlan> levels,
                            PlanBranchLevels(branch, schemas, options));
 
   // The pipeline inserts into `out` while scanning and probing the bound
-  // relations, so the output must not alias any of them: a probe against an
-  // index built before the insert would silently miss tuples, and growing
-  // an unordered_set mid-scan invalidates the scan. No engine code path
-  // aliases; reject rather than miscompute if one ever does.
+  // relations, so the output must not alias any of them: inserting into a
+  // relation whose index bucket is being iterated invalidates the
+  // iteration, and growing an unordered_set mid-scan invalidates the scan.
+  // No engine code path aliases; reject rather than miscompute if one ever
+  // does.
   for (size_t i = 0; i < n; ++i) {
     if (bindings[i].relation == out) {
       return Status::Internal(
           "branch output aliases binding '" + bindings[i].var +
-          "': inserts during execution would bypass the hash index");
+          "': inserts during execution would invalidate its scan");
     }
   }
 
-  // Build hash indexes for inner levels with key equalities. Shared
-  // read-only by all workers of a fan-out (HashIndex::Probe is const).
+  // Every index the execution probes — probing levels' and quantifiers' —
+  // is the relation's own (Relation::IndexOn), requested here on the
+  // calling thread: workers of a fan-out only read them. A catalog
+  // relation's or a fixpoint total's index outlives the call, so it is
+  // built once and extended by later inserts instead of rebuilt per call.
   BranchExecStats build_stats;
-  std::vector<std::unique_ptr<HashIndex>> indexes(n);
-  for (size_t i = 1; i < n; ++i) {
+  std::vector<const HashIndex*> indexes(n, nullptr);
+  for (size_t i = 0; i < n; ++i) {
     if (levels[i].keys.empty()) continue;
-    TraceSpan build_span("index build");
-    if (build_span.active()) {
-      build_span.AddArg("binding", bindings[i].var);
-      build_span.AddArg("tuples",
-                        static_cast<int64_t>(bindings[i].relation->size()));
-    }
     std::vector<int> cols;
     cols.reserve(levels[i].keys.size());
     for (const BranchLevelPlan::KeyEquality& k : levels[i].keys) {
       cols.push_back(k.inner_field_index);
     }
-    indexes[i] = std::make_unique<HashIndex>(*bindings[i].relation, cols);
+    indexes[i] = &RequestIndex(*bindings[i].relation, cols, bindings[i].var,
+                               &build_stats);
     ++build_stats.index_builds;
   }
+  QuantProbes probes;
+  if (options.use_hash_joins) {
+    CompileQuantProbes(*branch.pred(), eval.resolver(), &probes, &build_stats);
+  }
+  const Evaluator probing(eval.resolver(), eval.typed_proven(), &probes);
 
   BranchPipeline pipeline{&branch, &bindings, &levels, &indexes, n};
 
+  // Level 0 is driven here: serially, or chunked across the pool when
+  // there are enough candidates (a probe's hits, else the whole relation).
   const Relation& outer = *bindings[0].relation;
+  Environment env = base_env;
+  const BranchPipeline::Candidates outer_candidates =
+      pipeline.CandidatesOf(0, probing, env, &build_stats);
+  const std::vector<const Tuple*>* hits = outer_candidates.hits;
+  const std::vector<PredPtr>& outer_filters = *outer_candidates.filters;
+  const size_t outer_count = hits != nullptr ? hits->size() : outer.size();
+
   size_t num_threads = options.pool != nullptr
                            ? options.pool->size()
                            : ThreadPool::ResolveThreadCount(options.num_threads);
-  if (num_threads <= 1 || outer.size() < options.min_parallel_tuples) {
+  if (num_threads <= 1 || outer_count < options.min_parallel_tuples) {
     // Serial path: exactly the historical single-threaded pipeline.
     TraceSpan span("branch");
     if (span.active()) {
-      span.AddArg("outer_tuples", static_cast<int64_t>(outer.size()));
+      span.AddArg("outer_tuples", static_cast<int64_t>(outer_count));
     }
-    Environment env = base_env;
     BranchExecStats local_stats = build_stats;
-    DATACON_RETURN_IF_ERROR(
-        pipeline.Descend(0, eval, env, out, &local_stats));
+    auto run = [&](const Tuple& t) {
+      return pipeline.TryTuple(0, t, outer_filters, probing, env, out,
+                               &local_stats);
+    };
+    if (hits != nullptr) {
+      for (const Tuple* t : *hits) DATACON_RETURN_IF_ERROR(run(*t));
+    } else {
+      for (const Tuple& t : outer.tuples()) DATACON_RETURN_IF_ERROR(run(t));
+    }
     if (span.active()) {
       span.AddArg("inserted", static_cast<int64_t>(local_stats.inserted));
     }
@@ -260,21 +395,25 @@ Status ExecuteBranch(const Branch& branch,
 
   // Parallel path: materialize every range the predicate can mention, so
   // workers never touch the (cache-mutating) engine resolver, then chunk
-  // the outermost scan across the pool. Each chunk runs the remaining
-  // pipeline into its own output relation; the chunks are merged under set
-  // semantics (and key enforcement) at the end.
+  // the outermost candidates across the pool. Each chunk runs the
+  // remaining pipeline into its own output relation; the chunks are merged
+  // under set semantics (and key enforcement) at the end.
   TraceSpan fanout_span("fanout");
   if (fanout_span.active()) {
-    fanout_span.AddArg("outer_tuples", static_cast<int64_t>(outer.size()));
+    fanout_span.AddArg("outer_tuples", static_cast<int64_t>(outer_count));
     fanout_span.AddArg("threads", static_cast<int64_t>(num_threads));
   }
   SnapshotResolver snapshot;
   DATACON_RETURN_IF_ERROR(snapshot.Prewarm(*branch.pred(), eval.resolver()));
-  Evaluator worker_eval(&snapshot, eval.typed_proven());
+  Evaluator worker_eval(&snapshot, eval.typed_proven(), &probes);
 
   std::vector<const Tuple*> outer_tuples;
-  outer_tuples.reserve(outer.size());
-  for (const Tuple& t : outer.tuples()) outer_tuples.push_back(&t);
+  if (hits != nullptr) {
+    outer_tuples = *hits;
+  } else {
+    outer_tuples.reserve(outer.size());
+    for (const Tuple& t : outer.tuples()) outer_tuples.push_back(&t);
+  }
 
   // A few chunks per worker so the shared queue evens out skew (some outer
   // tuples probe into far larger inner fans than others).
@@ -321,8 +460,8 @@ Status ExecuteBranch(const Branch& branch,
       for (size_t i = begin;
            i < end && status.ok() && !failed.load(std::memory_order_relaxed);
            ++i) {
-        status = pipeline.TryTuple(0, *outer_tuples[i], worker_eval, env,
-                                   chunk_out, cs);
+        status = pipeline.TryTuple(0, *outer_tuples[i], outer_filters,
+                                   worker_eval, env, chunk_out, cs);
       }
       if (chunk_span.active()) {
         chunk_span.AddArg("derived", static_cast<int64_t>(chunk_out->size()));
@@ -349,8 +488,8 @@ Status ExecuteBranch(const Branch& branch,
     BranchExecStats discard;
     Status serial = Status::OK();
     for (size_t i = 0; i < total && serial.ok(); ++i) {
-      serial = pipeline.TryTuple(0, *outer_tuples[i], worker_eval, env,
-                                 &scratch, &discard);
+      serial = pipeline.TryTuple(0, *outer_tuples[i], outer_filters,
+                                 worker_eval, env, &scratch, &discard);
     }
     if (!serial.ok()) return serial;
     // The serial re-scan did not reproduce the failure (it cannot see

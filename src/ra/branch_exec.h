@@ -25,18 +25,27 @@ struct ResolvedBinding {
 /// ANALYZE, and the fixpoint profile. All counters except the two marked
 /// "execution detail" are deterministic: bit-identical at every thread
 /// count, because they count logical work (which tuples were scanned,
-/// probed, considered), not how that work was scheduled.
+/// probed, considered), not how that work was scheduled. All but
+/// physical_index_builds are also history-free: they do not depend on which
+/// indexes earlier statements left behind.
 struct BranchExecStats {
   /// Environments reaching the innermost level (tuples considered).
   size_t env_count = 0;
   /// Tuples inserted into the output (new, after deduplication).
   size_t inserted = 0;
-  /// Tuples scanned at the outermost level (serial or summed over chunks).
+  /// Tuples tried at the outermost level — every tuple of a scan, the hits
+  /// of a level-0 probe (serial or summed over chunks).
   size_t outer_tuples = 0;
-  /// Hash indexes built for inner join levels.
+  /// Indexed levels (inner join levels and a probing level 0), counted
+  /// whether the level's index was built or reused.
   size_t index_builds = 0;
   /// Probe calls against those indexes (one per key lookup).
   size_t index_probes = 0;
+  /// Indexes this execution actually built: a relation's own index
+  /// (Relation::IndexOn) created on its first request, or rebuilt after a
+  /// mutation dropped it — for join levels and quantifier probes alike.
+  /// Depends on what earlier statements left behind.
+  size_t physical_index_builds = 0;
   /// Execution detail: snapshot-resolver materializations before a fan-out.
   /// Varies with the thread count (0 on the serial path).
   size_t snapshots = 0;
@@ -49,10 +58,14 @@ struct BranchExecStats {
 ///   [<targets> OF] EACH v1 IN R1, ..., EACH vn IN Rn : pred
 ///
 /// as a left-deep pipeline of scans and hash joins. Top-level equi-join
-/// conjuncts (`vi.f = <expr over earlier variables>`) become hash-index
-/// probes; every other conjunct is evaluated as a filter at the earliest
-/// level where its variables are bound. Result tuples are appended to `out`
-/// with set semantics (and key enforcement, if `out` declares a key).
+/// conjuncts (`vi.f = <expr over earlier variables>`) become probes of the
+/// bound relation's own index (Relation::IndexOn), and so does level 0 over
+/// a catalog relation variable with a `v1.f = <literal or parameter>`
+/// conjunct; a SOME quantifier over a catalog relation variable with
+/// `v.f = <term free of v>` in its body probes too (QuantProbe). Every
+/// other conjunct is evaluated as a filter at the earliest level where its
+/// variables are bound. Result tuples are appended to `out` with set
+/// semantics (and key enforcement, if `out` declares a key).
 ///
 /// `eval` carries the resolver used for quantifier/membership ranges inside
 /// the predicate; `base_env` carries scalar parameter bindings.

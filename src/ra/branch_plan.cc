@@ -1,21 +1,12 @@
 #include "ra/branch_plan.h"
 
+#include <algorithm>
 #include <set>
 
 #include "ast/printer.h"
 #include "ra/analysis.h"
 
 namespace datacon {
-
-namespace {
-
-const FieldRefTerm* AsFieldRefOf(const Term& term, const std::string& var) {
-  if (term.kind() != Term::Kind::kFieldRef) return nullptr;
-  const auto& f = static_cast<const FieldRefTerm&>(term);
-  return f.var() == var ? &f : nullptr;
-}
-
-}  // namespace
 
 Result<std::vector<BranchLevelPlan>> PlanBranchLevels(
     const Branch& branch, const std::vector<BindingSchema>& bindings,
@@ -42,36 +33,38 @@ Result<std::vector<BranchLevelPlan>> PlanBranchLevels(
       }
       if (!ready) continue;
       assigned[c] = true;
-      // Probe-able only at inner levels: at level 0 an index build would
-      // cost as much as the scan it replaces.
+      levels[i].scan_filters.push_back(conjuncts[c]);
+      // Probe-able at inner levels, and at level 0 over a catalog relation
+      // variable: its index outlives the query, whereas indexing a relation
+      // built for this query costs as much as the scan it replaces. At
+      // level 0 nothing else is bound, so a key term references no binding.
       bool probed = false;
-      if (options.use_hash_joins && i > 0 &&
-          conjuncts[c]->kind() == Pred::Kind::kCompare) {
-        const auto& cmp = static_cast<const ComparePred&>(*conjuncts[c]);
-        if (cmp.op() == CompareOp::kEq) {
-          for (bool flip : {false, true}) {
-            const TermPtr& a = flip ? cmp.rhs() : cmp.lhs();
-            const TermPtr& b = flip ? cmp.lhs() : cmp.rhs();
-            const FieldRefTerm* inner = AsFieldRefOf(*a, var);
-            if (inner == nullptr) continue;
-            std::set<std::string> outer_vars;
-            CollectFreeVars(*b, &outer_vars);
-            if (outer_vars.count(var) > 0) continue;
-            std::optional<int> idx = schema.FieldIndex(inner->field());
-            if (!idx.has_value()) {
-              return Status::NotFound("no field '" + inner->field() +
-                                      "' in range of '" + var + "'");
-            }
-            levels[i].keys.push_back(
-                BranchLevelPlan::KeyEquality{*idx, b});
-            probed = true;
-            break;
+      if (options.use_hash_joins && (i > 0 || bindings[0].catalog_variable)) {
+        std::optional<VarEquality> eq = MatchVarEquality(*conjuncts[c], var);
+        if (eq.has_value()) {
+          std::optional<int> idx = schema.FieldIndex(eq->field);
+          if (!idx.has_value()) {
+            return Status::NotFound("no field '" + eq->field +
+                                    "' in range of '" + var + "'");
           }
+          levels[i].keys.push_back(
+              BranchLevelPlan::KeyEquality{*idx, eq->other});
+          probed = true;
         }
       }
       if (!probed) levels[i].filters.push_back(conjuncts[c]);
     }
     bound.insert(var);
+  }
+  for (BranchLevelPlan& level : levels) {
+    if (level.keys.empty()) level.scan_filters.clear();
+    // Keys in column order, so equalities over the same columns share one
+    // index of the relation whatever order the conjuncts come in.
+    std::stable_sort(level.keys.begin(), level.keys.end(),
+                     [](const BranchLevelPlan::KeyEquality& a,
+                        const BranchLevelPlan::KeyEquality& b) {
+                       return a.inner_field_index < b.inner_field_index;
+                     });
   }
   for (size_t c = 0; c < conjuncts.size(); ++c) {
     if (!assigned[c]) {

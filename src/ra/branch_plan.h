@@ -17,26 +17,40 @@ class ThreadPool;
 /// filters once the level's variable is bound.
 struct BranchLevelPlan {
   /// One hash-key component: `inner_field_index` of this level's relation
-  /// equals `outer` (a term over earlier levels only).
+  /// equals `outer` (a term over earlier levels only; at level 0, a term
+  /// over no binding of the branch — a literal or a parameter).
   struct KeyEquality {
     int inner_field_index;
     TermPtr outer;
   };
+  /// In column order: equalities over the same columns share one index.
   std::vector<KeyEquality> keys;
   std::vector<PredPtr> filters;
+  /// Probing levels only: every conjunct of the level, keys included, in
+  /// source order — the scan a probe falls back to when its key cannot be
+  /// used (it fails to evaluate, or a checked run finds a value of the
+  /// wrong type), so the fallback reports exactly what the probe-free plan
+  /// would.
+  std::vector<PredPtr> scan_filters;
 };
 
 /// The schema each binding ranges over, in branch order.
 struct BindingSchema {
   std::string var;
   const Schema* schema;
+  /// The binding ranges over a catalog relation variable
+  /// (Relation::is_catalog_variable), whose indexes outlive the query:
+  /// only then may level 0 probe instead of scanning.
+  bool catalog_variable = false;
 };
 
 /// Options controlling physical branch execution.
 struct BranchExecOptions {
   /// When false, equality conjuncts are never turned into hash probes —
-  /// every join runs as a filtered nested loop. Exists for the ablation
-  /// benchmarks; always leave on in real use.
+  /// not at inner levels, not at level 0, not inside SOME quantifiers:
+  /// every join runs as a filtered nested loop and every quantifier as a
+  /// scan. Exists for the ablation benchmarks and the differential tests;
+  /// always leave on in real use.
   bool use_hash_joins = true;
   /// Worker threads for the outermost scan of a branch: 1 = serial (the
   /// default, exactly the historical behavior), 0 = hardware concurrency,
@@ -53,9 +67,10 @@ struct BranchExecOptions {
 };
 
 /// Assigns every top-level conjunct of `branch` to the earliest level where
-/// its variables are bound, turning probe-able equalities (at inner levels,
-/// when `options.use_hash_joins`) into hash keys. Fails when a conjunct
-/// references a variable no binding provides.
+/// its variables are bound, turning probe-able equalities into hash keys
+/// when `options.use_hash_joins`: at inner levels, and at level 0 when the
+/// binding is a catalog relation variable. Fails when a conjunct references
+/// a variable no binding provides.
 Result<std::vector<BranchLevelPlan>> PlanBranchLevels(
     const Branch& branch, const std::vector<BindingSchema>& bindings,
     const BranchExecOptions& options = {});

@@ -133,6 +133,22 @@ Result<bool> Evaluator::EvalPredImpl(const Pred& pred,
     }
     case Pred::Kind::kQuant: {
       const auto& p = static_cast<const QuantPred&>(pred);
+      const QuantProbe* probe = FindProbe(p);
+      if (probe != nullptr) {
+        if (std::optional<Tuple> key = ProbeKey<Proven>(*probe, env)) {
+          // SOME over the tuples matching the key: the others make the
+          // body's key equalities false.
+          const Schema* schema = &probe->relation->schema();
+          Environment inner = env;
+          for (const Tuple* t : probe->index->Probe(*key)) {
+            inner.Bind(p.var(), t, schema);
+            DATACON_ASSIGN_OR_RETURN(bool v,
+                                     EvalPredImpl<Proven>(*p.body(), inner));
+            if (v) return true;
+          }
+          return false;
+        }
+      }
       if (resolver_ == nullptr) {
         return Status::Internal("quantifier range without a resolver: " +
                                 ToString(pred));
@@ -168,6 +184,25 @@ Result<bool> Evaluator::EvalPredImpl(const Pred& pred,
     }
   }
   DATACON_UNREACHABLE("pred kind");
+}
+
+template <bool Proven>
+std::optional<Tuple> Evaluator::ProbeKey(const QuantProbe& probe,
+                                         const Environment& env) const {
+  const std::vector<int>& columns = probe.index->columns();
+  std::vector<Value> values;
+  values.reserve(probe.keys.size());
+  for (size_t i = 0; i < probe.keys.size(); ++i) {
+    Result<Value> v = EvalTermImpl<Proven>(*probe.keys[i], env);
+    if (!v.ok()) return std::nullopt;
+    if constexpr (!Proven) {
+      if (v->type() != probe.relation->schema().field(columns[i]).type) {
+        return std::nullopt;
+      }
+    }
+    values.push_back(std::move(v).value());
+  }
+  return Tuple(std::move(values));
 }
 
 Result<Value> Evaluator::EvalTerm(const Term& term,

@@ -1,18 +1,40 @@
 #ifndef DATACON_RA_EVAL_H_
 #define DATACON_RA_EVAL_H_
 
+#include <map>
+#include <optional>
+#include <vector>
+
 #include "ast/pred.h"
 #include "ast/term.h"
 #include "common/result.h"
 #include "ra/env.h"
 #include "ra/resolver.h"
+#include "storage/index.h"
 
 namespace datacon {
 
+/// The index access of one `SOME v IN R: body` quantifier (DESIGN §4.7),
+/// compiled once per branch execution: `R` is a catalog relation variable
+/// and `body` has top-level conjuncts `v.f = t` with `t` free of `v`. The
+/// evaluator probes `index` (R's own, on those fields) with the values of
+/// `keys` and evaluates the body on the matching tuples only.
+struct QuantProbe {
+  const Relation* relation;
+  const HashIndex* index;
+  /// Aligned with index->columns().
+  std::vector<TermPtr> keys;
+};
+
+/// The compiled probes of a predicate's quantifiers, by AST node.
+using QuantProbes = std::map<const QuantPred*, QuantProbe>;
+
 /// Tree-walking evaluator for terms and predicates over an Environment.
 ///
-/// Quantifiers (`SOME`/`ALL`) iterate the relation their range resolves to;
-/// membership tests build the probe tuple and use the relation's hash set.
+/// Quantifiers (`SOME`/`ALL`) iterate the relation their range resolves to
+/// — or, for a SOME with a compiled QuantProbe, only the tuples its index
+/// returns; membership tests build the probe tuple and use the relation's
+/// hash set.
 /// All failures (unbound names, type mismatches, division by zero) are
 /// reported as Status — for programs that passed semantic analysis the only
 /// reachable runtime failure is integer division by zero.
@@ -30,9 +52,12 @@ class Evaluator {
   /// `resolver` must outlive the evaluator; it may be null for predicates
   /// that contain no quantifier or membership ranges. `typed_proven`
   /// selects the fast walk — pass true only under a type-checker proof.
+  /// `probes` (may be null; must outlive the evaluator) are the quantifier
+  /// probes the branch executor compiled; a quantifier without one scans.
   explicit Evaluator(const RelationResolver* resolver,
-                     bool typed_proven = false)
-      : resolver_(resolver), typed_proven_(typed_proven) {}
+                     bool typed_proven = false,
+                     const QuantProbes* probes = nullptr)
+      : resolver_(resolver), typed_proven_(typed_proven), probes_(probes) {}
 
   /// The scalar value of `term` under `env`.
   Result<Value> EvalTerm(const Term& term, const Environment& env) const;
@@ -53,9 +78,23 @@ class Evaluator {
   Result<Value> EvalTermImpl(const Term& term, const Environment& env) const;
   template <bool Proven>
   Result<bool> EvalPredImpl(const Pred& pred, const Environment& env) const;
+  /// The compiled probe of `quant`, or null when it scans.
+  const QuantProbe* FindProbe(const QuantPred& quant) const {
+    if (probes_ == nullptr) return nullptr;
+    auto it = probes_->find(&quant);
+    return it == probes_->end() ? nullptr : &it->second;
+  }
+  /// The probe key of `probe` under `env`, or nullopt when the quantifier
+  /// must scan instead: a key fails to evaluate, or (checked walk) a key
+  /// value's type differs from its column's — the scan then reports or
+  /// rejects exactly what the probe-free evaluation would.
+  template <bool Proven>
+  std::optional<Tuple> ProbeKey(const QuantProbe& probe,
+                                const Environment& env) const;
 
   const RelationResolver* resolver_;
   bool typed_proven_;
+  const QuantProbes* probes_;
 };
 
 }  // namespace datacon

@@ -3,14 +3,44 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "storage/index.h"
 
 namespace datacon {
+
+Relation::Relation() = default;
 
 Relation::Relation(Schema schema, InsertLog log)
     : schema_(std::move(schema)), log_inserts_(log == InsertLog::kOn) {
   enforce_key_ = !schema_.KeyIsAllAttributes();
   if (enforce_key_) key_positions_ = schema_.EffectiveKey();
 }
+
+Relation::Relation(const Relation& other)
+    : schema_(other.schema_),
+      tuples_(other.tuples_),
+      key_to_tuple_(other.key_to_tuple_),
+      enforce_key_(other.enforce_key_),
+      key_positions_(other.key_positions_),
+      generation_(other.generation_),
+      log_inserts_(other.log_inserts_),
+      log_base_(other.log_base_),
+      insert_log_(other.insert_log_) {}
+
+Relation::Relation(Relation&& other) noexcept
+    : schema_(std::move(other.schema_)),
+      tuples_(std::move(other.tuples_)),
+      key_to_tuple_(std::move(other.key_to_tuple_)),
+      enforce_key_(other.enforce_key_),
+      key_positions_(std::move(other.key_positions_)),
+      generation_(other.generation_),
+      log_inserts_(other.log_inserts_),
+      log_base_(other.log_base_),
+      insert_log_(std::move(other.insert_log_)),
+      indexes_(std::move(other.indexes_)) {
+  other.indexes_.clear();
+}
+
+Relation::~Relation() = default;
 
 Relation& Relation::operator=(const Relation& other) {
   if (this == &other) return *this;
@@ -30,14 +60,30 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   key_to_tuple_ = std::move(other.key_to_tuple_);
   enforce_key_ = other.enforce_key_;
   key_positions_ = std::move(other.key_positions_);
+  // `other`'s indexes point into the tuples this relation now owns.
+  other.indexes_.clear();
   NoteStructuralChange();
   return *this;
 }
 
-void Relation::NoteStructuralChange() {
+void Relation::NoteStructuralChange(bool keep_indexes) {
   ++generation_;
   insert_log_.clear();
   log_base_ = generation_;
+  if (!keep_indexes) indexes_.clear();
+}
+
+const HashIndex& Relation::IndexOn(const std::vector<int>& columns) const {
+  std::unique_ptr<HashIndex>& index = indexes_[columns];
+  if (index == nullptr) {
+    index.reset(new HashIndex(HashIndex::Owned{}, *this, columns));
+  }
+  return *index;
+}
+
+const HashIndex* Relation::FindIndex(const std::vector<int>& columns) const {
+  auto it = indexes_.find(columns);
+  return it == indexes_.end() ? nullptr : it->second.get();
 }
 
 std::optional<std::vector<Tuple>> Relation::InsertedSince(
@@ -112,6 +158,7 @@ Result<bool> Relation::InsertValidated(T&& t) {
     key_to_tuple_.emplace(std::move(key), t);
     stored = &*tuples_.insert(std::forward<T>(t)).first;
   }
+  for (auto& [columns, index] : indexes_) index->Add(stored);
   ++generation_;
   if (!log_inserts_) return true;
   if (insert_log_.size() >= kMaxInsertLog) {
@@ -184,8 +231,9 @@ bool Relation::Erase(const Tuple& t) {
   auto it = tuples_.find(t);
   if (it == tuples_.end()) return false;
   if (enforce_key_) key_to_tuple_.erase(t.Project(key_positions_));
+  for (auto& [columns, index] : indexes_) index->Remove(&*it);
   tuples_.erase(it);
-  NoteStructuralChange();
+  NoteStructuralChange(/*keep_indexes=*/true);
   return true;
 }
 

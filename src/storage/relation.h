@@ -2,6 +2,8 @@
 #define DATACON_STORAGE_RELATION_H_
 
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -14,6 +16,8 @@
 #include "types/schema.h"
 
 namespace datacon {
+
+class HashIndex;
 
 /// An in-memory relation variable: a set of tuples over a Schema, with the
 /// paper's key constraint (section 2.2) enforced on every insertion.
@@ -37,20 +41,25 @@ class Relation {
   enum class InsertLog { kOff, kOn };
 
   /// An empty relation over an empty schema.
-  Relation() = default;
+  Relation();
 
   /// An empty relation over `schema`.
   explicit Relation(Schema schema, InsertLog log = InsertLog::kOff);
 
-  Relation(const Relation&) = default;
-  Relation(Relation&&) = default;
+  /// A copy starts without indexes: it never shares the source's (they
+  /// point into the source's tuple set).
+  Relation(const Relation& other);
+  /// A move takes the source's indexes along — the stored tuples they
+  /// point at move with the set, so they stay valid.
+  Relation(Relation&& other) noexcept;
+  ~Relation();
 
   /// Assignment replaces the *contents* of an existing relation variable,
   /// not its identity: the target's generation keeps counting up (it never
   /// adopts the source's, which would let a stale observer see an equal
   /// generation across a wholesale content swap), the target keeps its own
-  /// InsertLog setting, and the insert log is discarded — a bulk
-  /// replacement is structural churn, like Clear.
+  /// InsertLog setting, and the insert log and every index are discarded —
+  /// a bulk replacement is structural churn, like Clear.
   Relation& operator=(const Relation& other);
   Relation& operator=(Relation&& other) noexcept;
 
@@ -88,6 +97,30 @@ class Relation {
 
   /// True iff `t` is stored.
   bool Contains(const Tuple& t) const { return tuples_.count(t) > 0; }
+
+  /// True for catalog relation variables — the relations created with the
+  /// insert log on (Catalog::CreateRelation). They outlive every query, so
+  /// an index built on one keeps paying off across statements; the branch
+  /// executor probes them even at a branch's outermost level.
+  bool is_catalog_variable() const { return log_inserts_; }
+
+  /// This relation's own hash index on `columns` (DESIGN §4.3): built from
+  /// the stored tuples on the first request, then kept current — every
+  /// insert extends it and every erase removes the tuple's pointer — so it
+  /// never goes stale. Clear, Subtract and assignment drop every index (the
+  /// next request rebuilds).
+  ///
+  /// Building mutates the relation's index set, so it is not thread-safe:
+  /// a parallel fan-out requests every index its workers probe before
+  /// dispatching, and workers only ever call FindIndex.
+  const HashIndex& IndexOn(const std::vector<int>& columns) const;
+
+  /// The index on `columns` if this relation holds one, else null. Never
+  /// builds, so concurrent callers are safe.
+  const HashIndex* FindIndex(const std::vector<int>& columns) const;
+
+  /// Number of indexes this relation holds.
+  size_t index_count() const { return indexes_.size(); }
 
   /// Inserts `t`. Fails with kTypeError on arity mismatch and with
   /// kKeyViolation when `t` collides with a differing tuple on the key.
@@ -148,8 +181,9 @@ class Relation {
 
   /// Records a tuple-set change that is not a pure insert: the insert log
   /// can no longer reconstruct deltas, so it restarts at the new
-  /// generation.
-  void NoteStructuralChange();
+  /// generation. `keep_indexes` is true for an Erase, which has already
+  /// removed the tuple from every index; any other such change drops them.
+  void NoteStructuralChange(bool keep_indexes = false);
 
   Schema schema_;
   std::unordered_set<Tuple, TupleHash> tuples_;
@@ -166,6 +200,10 @@ class Relation {
   /// generation_.
   uint64_t log_base_ = 0;
   std::vector<Tuple> insert_log_;
+
+  /// The indexes requested of this relation, by column list (IndexOn).
+  /// Mutable: building one on a const relation changes no tuple.
+  mutable std::map<std::vector<int>, std::unique_ptr<HashIndex>> indexes_;
 };
 
 }  // namespace datacon

@@ -209,21 +209,143 @@ TEST(ConstraintEnforcement, DescribeConstraintsListsPlans) {
 }
 
 TEST(ConstraintEnforcement, EraseForcesFullRecheckSoundly) {
-  // A failed check rolls back by erasing, which invalidates the delta log;
-  // the next check must fall back to full re-evaluation and still accept
-  // clean tuples / reject violating ones.
+  // An erase invalidates the delta log; the next check must fall back to
+  // full re-evaluation and still accept clean tuples / reject violating
+  // ones.
   std::unique_ptr<Database> db = GraphDb();
   Counter* full_rechecks =
       db->metrics().GetCounter("constraints.full_rechecks");
   ASSERT_TRUE(db->DefineConstraint(NoSelfLoop()).ok());
   ASSERT_TRUE(db->Insert("Edge", Edge2(1, 2)).ok());
-  EXPECT_EQ(db->Insert("Edge", Edge2(2, 2)).code(),
-            StatusCode::kConstraintViolation);
+  ASSERT_TRUE(db->Insert("Edge", Edge2(4, 5)).ok());
+  ASSERT_TRUE(db->GetMutableRelation("Edge").value()->Erase(Edge2(4, 5)));
   int64_t full0 = full_rechecks->value();
-  // The rollback erased a tuple: InsertedSince is gone, so this check runs
-  // the full denial — and passes.
+  // InsertedSince is gone, so this check runs the full denial — and passes.
   EXPECT_TRUE(db->Insert("Edge", Edge2(2, 3)).ok());
   EXPECT_GT(full_rechecks->value(), full0);
+  ASSERT_TRUE(db->GetMutableRelation("Edge").value()->Erase(Edge2(2, 3)));
+  EXPECT_EQ(db->Insert("Edge", Edge2(2, 2)).code(),
+            StatusCode::kConstraintViolation);
+}
+
+/// The update_mix constraints over Part/Uses: KEY, FOREIGN and a 2-cycle
+/// DENY on Uses.
+std::unique_ptr<Database> PartsDb() {
+  auto db = std::make_unique<Database>();
+  Interpreter interp(db.get());
+  Status s = interp.Execute(R"(
+TYPE partrel = RELATION OF RECORD pid, kind: INTEGER END;
+TYPE userel = RELATION OF RECORD src, dst: INTEGER END;
+VAR Part: partrel;
+VAR Uses: userel;
+INSERT INTO Part <1, 0>, <2, 0>, <3, 0>, <4, 0>, <5, 0>, <6, 0>;
+INSERT INTO Uses <1, 2>, <2, 3>;
+CONSTRAINT one_parent KEY <dst> ON Uses;
+CONSTRAINT uses_src FOREIGN src OF Uses REFERENCES pid OF Part;
+CONSTRAINT no_two_cycle DENY EACH a IN Uses, EACH b IN Uses:
+  a.src = b.dst AND a.dst = b.src;
+)");
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return db;
+}
+
+TEST(ConstraintEnforcement, RejectedStatementKeepsTheDeltaBaseline) {
+  // A rejected statement's rollback restores exactly the state every
+  // constraint verified before it, so the next valid insert still runs the
+  // simplified residues instead of re-checking every constraint in full.
+  std::unique_ptr<Database> db = PartsDb();
+  Counter* full_rechecks =
+      db->metrics().GetCounter("constraints.full_rechecks");
+  const int64_t full0 = full_rechecks->value();
+
+  // Insert: a second parent for part 3 (KEY), with its witness.
+  Status key = db->Insert("Uses", Edge2(1, 3));
+  EXPECT_EQ(key.code(), StatusCode::kConstraintViolation);
+  EXPECT_NE(key.message().find("'one_parent' violated by tuple <1, 3> (Uses): "
+                               "witness <2, 3>"),
+            std::string::npos)
+      << key.ToString();
+  ASSERT_TRUE(db->Insert("Uses", Edge2(3, 4)).ok());
+  EXPECT_EQ(full_rechecks->value(), full0);
+
+  // InsertAll: a clean tuple plus a dangling assembly (FOREIGN).
+  Status foreign = db->InsertAll("Uses", {Edge2(4, 5), Edge2(9, 6)});
+  EXPECT_EQ(foreign.code(), StatusCode::kConstraintViolation);
+  EXPECT_NE(foreign.message().find("'uses_src' violated by tuple <9, 6> "
+                                   "(Uses): witness <9, 6>"),
+            std::string::npos)
+      << foreign.ToString();
+  ASSERT_TRUE(db->Insert("Uses", Edge2(4, 5)).ok());
+  EXPECT_EQ(full_rechecks->value(), full0);
+
+  // Assign: the current contents plus a 2-cycle (DENY); the full recheck
+  // after the wholesale replacement finds it.
+  Relation value = *db->GetRelation("Uses").value();
+  ASSERT_TRUE(value.Insert(Edge2(5, 4)).ok());
+  Status cycle = db->Assign("Uses", value);
+  EXPECT_EQ(cycle.code(), StatusCode::kConstraintViolation);
+  EXPECT_NE(cycle.message().find("'no_two_cycle' violated: witness "
+                                 "<4, 5, 5, 4>"),
+            std::string::npos)
+      << cycle.ToString();
+  const int64_t after_assign = full_rechecks->value();
+  ASSERT_TRUE(db->Insert("Uses", Edge2(5, 6)).ok());
+  EXPECT_EQ(full_rechecks->value(), after_assign);
+
+  // The replayed baselines stay sound: violations are still caught.
+  EXPECT_EQ(db->Insert("Uses", Edge2(6, 5)).code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(db->Insert("Uses", Edge2(2, 6)).code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(SortedTuples(*db, "Uses"),
+            (std::vector<Tuple>{Edge2(1, 2), Edge2(2, 3), Edge2(3, 4),
+                                Edge2(4, 5), Edge2(5, 6)}));
+}
+
+TEST(ConstraintEnforcement, StaleBaselinesStayStaleAcrossARollback) {
+  // A constraint that had not verified the pre-statement state (its input
+  // moved while enforcement was off) must still run its full recheck after
+  // a rejected statement.
+  std::unique_ptr<Database> db = GraphDb();
+  Counter* full_rechecks =
+      db->metrics().GetCounter("constraints.full_rechecks");
+  ASSERT_TRUE(db->DefineConstraint(NoSelfLoop()).ok());
+  db->options().constraints = false;
+  ASSERT_TRUE(db->Insert("Edge", Edge2(1, 2)).ok());
+  ASSERT_TRUE(db->GetMutableRelation("Edge").value()->Erase(Edge2(1, 2)));
+  db->options().constraints = true;
+  EXPECT_EQ(db->Insert("Edge", Edge2(3, 3)).code(),
+            StatusCode::kConstraintViolation);
+  const int64_t full0 = full_rechecks->value();
+  ASSERT_TRUE(db->Insert("Edge", Edge2(3, 4)).ok());
+  EXPECT_GT(full_rechecks->value(), full0);
+}
+
+TEST(ConstraintEnforcement, ShowConstraintsRendersResiduePlans) {
+  std::unique_ptr<Database> db = PartsDb();
+  const std::string text = db->DescribeConstraints();
+  for (const char* line : {
+           // KEY <dst>: one probe on the delta's dst per residue.
+           "    residue 0: probe(b IN Uses on dst = delta_dst) -> "
+           "filter(delta_src # b.src) -> project<b.src, b.dst>\n",
+           "    residue 1: probe(a IN Uses on dst = delta_dst) -> "
+           "filter(a.src # delta_src) -> project<a.src, a.dst>\n",
+           // FOREIGN: the delta tuple itself, then the SOME over Part
+           // (probed on ref.pid inside the filter).
+           "    residue 0: probe(fk IN Uses on src = delta_src, dst = "
+           "delta_dst) -> filter(NOT (SOME ref IN Part (ref.pid = fk.src))) "
+           "-> project<fk.src, fk.dst>\n",
+           // DENY 2-cycle: the reversed edge, on the same (src, dst) index
+           // as the FOREIGN residue.
+           "    residue 0: probe(b IN Uses on src = delta_dst, dst = "
+           "delta_src) -> project<b.src, b.dst>\n",
+           "    residue 1: probe(a IN Uses on src = delta_dst, dst = "
+           "delta_src) -> project<a.src, a.dst>\n",
+           "  full check: scan(fk IN Uses) -> filter(NOT (SOME ref IN Part "
+           "(ref.pid = fk.src))) -> project<fk.src, fk.dst>\n"}) {
+    EXPECT_NE(text.find(line), std::string::npos) << line << "\n" << text;
+  }
+  EXPECT_EQ(text.find("general evaluation"), std::string::npos) << text;
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "ast/builder.h"
 #include "core/database.h"
+#include "storage/index.h"
 
 namespace datacon {
 namespace {
@@ -358,6 +359,32 @@ TEST(Relation, CatalogRelationKeepsLoggingAfterConstraintRollback) {
   ASSERT_TRUE(delta.has_value());
   ASSERT_EQ(delta->size(), 1u);
   EXPECT_EQ((*delta)[0], Tuple({Value::Int(5), Value::Int(6)}));
+}
+
+TEST(Relation, CatalogIndexTracksConstraintRollbacks) {
+  // A rejected statement's rollback erases through the catalog relation's
+  // own indexes, so a probe afterwards sees exactly the surviving tuples.
+  std::unique_ptr<Database> db = EdgeDb();
+  ASSERT_TRUE(db->DefineConstraint(std::make_shared<const ConstraintDecl>(
+                                       "no_loop",
+                                       std::vector<Binding>{build::Each(
+                                           "p", build::Rel("E"))},
+                                       build::Eq(build::FieldRef("p", "a"),
+                                                 build::FieldRef("p", "b"))))
+                  .ok());
+  ASSERT_TRUE(db->Insert("E", Tuple({Value::Int(1), Value::Int(2)})).ok());
+  const Relation* rel = db->GetRelation("E").value();
+  const HashIndex& by_a = rel->IndexOn({0});
+  EXPECT_EQ(db->InsertAll("E", {Tuple({Value::Int(1), Value::Int(5)}),
+                                Tuple({Value::Int(1), Value::Int(1)})})
+                .code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(rel->FindIndex({0}), &by_a);
+  ASSERT_EQ(by_a.Probe(Tuple({Value::Int(1)})).size(), 1u);
+  EXPECT_EQ(*by_a.Probe(Tuple({Value::Int(1)}))[0],
+            Tuple({Value::Int(1), Value::Int(2)}));
+  ASSERT_TRUE(db->Insert("E", Tuple({Value::Int(1), Value::Int(3)})).ok());
+  EXPECT_EQ(by_a.Probe(Tuple({Value::Int(1)})).size(), 2u);
 }
 
 TEST(Relation, InsertAllSameTypesStillEnforcesKeys) {
