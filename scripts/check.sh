@@ -108,9 +108,10 @@ cmake --build build-tsan -j --target \
   common_thread_pool_test common_trace_test core_fixpoint_parallel_test \
   core_observability_test common_metrics_test core_matcache_test \
   integration_cache_semantics_test common_eventlog_test \
-  integration_probe_semantics_test storage_index_test
+  integration_probe_semantics_test storage_index_test \
+  integration_prepared_program_test
 
-echo "== tsan: parallel + cache + telemetry + index probe tests =="
+echo "== tsan: parallel + cache + telemetry + index probe + program tests =="
 ./build-tsan/tests/common_thread_pool_test
 ./build-tsan/tests/common_trace_test
 ./build-tsan/tests/core_fixpoint_parallel_test
@@ -121,5 +122,6 @@ echo "== tsan: parallel + cache + telemetry + index probe tests =="
 ./build-tsan/tests/common_eventlog_test
 ./build-tsan/tests/integration_probe_semantics_test
 ./build-tsan/tests/storage_index_test
+./build-tsan/tests/integration_prepared_program_test
 
 echo "All checks passed."

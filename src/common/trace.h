@@ -183,8 +183,9 @@ class TraceSpan {
   ~TraceSpan() {
     if (!active_) return;
     TraceRecorder& rec = TraceRecorder::Global();
-    rec.RecordComplete(std::move(name_), start_ns_,
-                       rec.NowNs() - start_ns_, std::move(args_));
+    const int64_t end_ns = end_ns_ >= 0 ? end_ns_ : rec.NowNs();
+    rec.RecordComplete(std::move(name_), start_ns_, end_ns - start_ns_,
+                       std::move(args_));
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -192,6 +193,13 @@ class TraceSpan {
   /// True when the span will be recorded — guard any argument computation
   /// that allocates.
   bool active() const { return active_; }
+
+  /// Ends the span's duration now, before the destructor emits it: the
+  /// arguments added afterwards describe the work timed, and rendering
+  /// them is not part of it. Later calls keep the first end.
+  void StopClock() {
+    if (active_ && end_ns_ < 0) end_ns_ = TraceRecorder::Global().NowNs();
+  }
 
   void AddArg(std::string key, int64_t value) {
     if (active_) args_.push_back(TraceArg::Int(std::move(key), value));
@@ -206,6 +214,7 @@ class TraceSpan {
   bool active_;
   std::string name_;
   int64_t start_ns_ = 0;
+  int64_t end_ns_ = -1;
   std::vector<TraceArg> args_;
 };
 

@@ -8,6 +8,7 @@ Status Catalog::DefineRelationType(const std::string& name, Schema schema) {
     return Status::AlreadyExists("relation type '" + name + "'");
   }
   relation_types_.emplace(name, std::move(schema));
+  ++definition_version_;
   return Status::OK();
 }
 
@@ -30,6 +31,7 @@ Status Catalog::CreateRelation(const std::string& name,
   relations_.emplace(
       name, std::make_unique<Relation>(*schema, Relation::InsertLog::kOn));
   relation_var_types_.emplace(name, type_name);
+  ++definition_version_;
   return Status::OK();
 }
 
@@ -64,6 +66,7 @@ Status Catalog::DefineSelector(SelectorDeclPtr decl) {
     return Status::AlreadyExists("selector '" + name + "'");
   }
   selectors_.emplace(name, std::move(decl));
+  ++definition_version_;
   return Status::OK();
 }
 
@@ -82,6 +85,7 @@ Status Catalog::DefineConstructor(ConstructorDeclPtr decl) {
     return Status::AlreadyExists("constructor '" + name + "'");
   }
   constructors_.emplace(name, std::move(decl));
+  ++definition_version_;
   return Status::OK();
 }
 
@@ -100,6 +104,7 @@ Status Catalog::DefineConstraint(ConstraintDeclPtr decl) {
     return Status::AlreadyExists("constraint '" + name + "'");
   }
   constraints_.emplace(name, std::move(decl));
+  ++definition_version_;
   return Status::OK();
 }
 

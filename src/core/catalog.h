@@ -1,6 +1,7 @@
 #ifndef DATACON_CORE_CATALOG_H_
 #define DATACON_CORE_CATALOG_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -52,7 +53,9 @@ class Catalog {
   /// Removes a constructor again — used to roll back a registration whose
   /// semantic checks failed (recursive constructors must be visible to
   /// their own type check, so registration happens first).
-  void RemoveConstructor(const std::string& name) { constructors_.erase(name); }
+  void RemoveConstructor(const std::string& name) {
+    if (constructors_.erase(name) > 0) ++definition_version_;
+  }
 
   // --- Integrity constraints ---
 
@@ -60,7 +63,15 @@ class Catalog {
   Result<const ConstraintDecl*> LookupConstraint(const std::string& name) const;
 
   /// Rolls back a constraint registration whose initial full check failed.
-  void RemoveConstraint(const std::string& name) { constraints_.erase(name); }
+  void RemoveConstraint(const std::string& name) {
+    if (constraints_.erase(name) > 0) ++definition_version_;
+  }
+
+  /// Counts the definitions this catalog has admitted or rolled back: every
+  /// relation type, relation variable, selector, constructor and
+  /// constraint bumps it. A compiled query program is valid while this is
+  /// unchanged (data changes never bump it).
+  uint64_t definition_version() const { return definition_version_; }
 
   const std::map<std::string, ConstraintDeclPtr>& constraints() const {
     return constraints_;
@@ -86,6 +97,7 @@ class Catalog {
   std::map<std::string, SelectorDeclPtr> selectors_;
   std::map<std::string, ConstructorDeclPtr> constructors_;
   std::map<std::string, ConstraintDeclPtr> constraints_;
+  uint64_t definition_version_ = 0;
 };
 
 }  // namespace datacon

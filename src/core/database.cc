@@ -32,6 +32,7 @@ Database::Database(DatabaseOptions options)
       constraints_full_rechecks_(
           metrics_.GetCounter("constraints.full_rechecks")),
       constraints_violations_(metrics_.GetCounter("constraints.violations")),
+      prepared_compilations_(metrics_.GetCounter("prepared.compilations")),
       slow_query_log_(options.slow_query_log_capacity),
       mat_cache_(options.cache_capacity, &metrics_, &event_log_) {
   event_log_.set_enabled(options.events);
@@ -276,7 +277,9 @@ Status Database::DefineConstraint(ConstraintDeclPtr decl) {
         PreparedQuery residue_query = std::move(prepared).value();
         residue_query.cache_bypass_ = true;
         ce.residues.push_back(CompiledResidue{std::move(residue_query),
-                                              residue->param_fields});
+                                              residue->param_fields,
+                                              Environment(),
+                                              {}});
       }
     }
     compiled.events.emplace(event.relation, std::move(ce));
@@ -294,13 +297,28 @@ Status Database::DefineConstraint(ConstraintDeclPtr decl) {
           FirstWitness(witnesses));
     }
   }
-  for (const std::string& input : analysis.inputs) {
+  for (const std::string& input : analysis.inputs) {  // in name order
     DATACON_ASSIGN_OR_RETURN(const Relation* rel,
                              catalog_.LookupRelation(input));
-    compiled.snapshot[input] = rel->generation();
+    compiled.snapshot.push_back(
+        SnapshotEntry{input, rel, nullptr, rel->generation()});
   }
   DATACON_RETURN_IF_ERROR(catalog_.DefineConstraint(decl));
-  constraints_.emplace(decl->name(), std::move(compiled));
+  // Link each input to its event and each residue's parameters to their
+  // cells where the constraint now lives.
+  CompiledConstraint& stored =
+      constraints_.emplace(decl->name(), std::move(compiled)).first->second;
+  for (SnapshotEntry& entry : stored.snapshot) {
+    auto it = stored.events.find(entry.relation);
+    if (it != stored.events.end()) entry.event = &it->second;
+  }
+  for (auto& [relation, event] : stored.events) {
+    for (CompiledResidue& residue : event.residues) {
+      for (const std::string& field : residue.param_fields) {
+        residue.slots.push_back(residue.params.ParamSlot(field));
+      }
+    }
+  }
   return Status::OK();
 }
 
@@ -308,9 +326,8 @@ std::vector<Database::CompiledConstraint*> Database::VerifiedConstraints() {
   std::vector<CompiledConstraint*> verified;
   for (auto& [name, compiled] : constraints_) {
     bool current = true;
-    for (const auto& [input, generation] : compiled.snapshot) {
-      Result<Relation*> rel = catalog_.LookupRelation(input);
-      if (!rel.ok() || rel.value()->generation() != generation) {
+    for (const SnapshotEntry& entry : compiled.snapshot) {
+      if (entry.rel->generation() != entry.generation) {
         current = false;
         break;
       }
@@ -323,8 +340,8 @@ std::vector<Database::CompiledConstraint*> Database::VerifiedConstraints() {
 void Database::RestoreBaselines(
     const std::vector<CompiledConstraint*>& verified) {
   for (CompiledConstraint* compiled : verified) {
-    for (auto& [input, generation] : compiled->snapshot) {
-      generation = catalog_.LookupRelation(input).value()->generation();
+    for (SnapshotEntry& entry : compiled->snapshot) {
+      entry.generation = entry.rel->generation();
     }
   }
 }
@@ -341,21 +358,20 @@ Status Database::CheckOneConstraint(CompiledConstraint* constraint) {
   // Which inputs moved since the last successful check, and are their
   // deltas still reconstructible as pure inserts?
   struct MovedInput {
-    std::string relation;
+    const SnapshotEntry* input;
     std::optional<std::vector<Tuple>> delta;
   };
   std::vector<MovedInput> moved;
   bool rebase = false;
-  for (const auto& [input, generation] : constraint->snapshot) {
-    DATACON_ASSIGN_OR_RETURN(const Relation* rel,
-                             catalog_.LookupRelation(input));
-    if (rel->generation() == generation) continue;
-    std::optional<std::vector<Tuple>> delta = rel->InsertedSince(generation);
+  for (const SnapshotEntry& entry : constraint->snapshot) {
+    if (entry.rel->generation() == entry.generation) continue;
+    std::optional<std::vector<Tuple>> delta =
+        entry.rel->InsertedSince(entry.generation);
     // Erase/Clear churn or insert-log overflow: the delta is gone, so only
     // full re-evaluation is sound (erases can create witnesses through
     // odd-parity occurrences that inserts never could).
     if (!delta.has_value()) rebase = true;
-    moved.push_back(MovedInput{input, std::move(delta)});
+    moved.push_back(MovedInput{&entry, std::move(delta)});
   }
   if (moved.empty()) return Status::OK();
 
@@ -366,9 +382,9 @@ Status Database::CheckOneConstraint(CompiledConstraint* constraint) {
   bool need_full = rebase || !options_.constraints_simplify;
   if (!need_full) {
     for (const MovedInput& input : moved) {
-      auto it = constraint->events.find(input.relation);
-      if (it == constraint->events.end() ||
-          it->second.insert_mode == ConstraintCheckMode::kFull) {
+      const CompiledEvent* event = input.input->event;
+      if (event == nullptr ||
+          event->insert_mode == ConstraintCheckMode::kFull) {
         need_full = true;
         break;
       }
@@ -378,7 +394,8 @@ Status Database::CheckOneConstraint(CompiledConstraint* constraint) {
   if (need_full) {
     if (span.active()) span.AddArg("mode", "full");
     constraints_full_rechecks_->Increment();
-    DATACON_ASSIGN_OR_RETURN(Relation witnesses, constraint->full->Execute({}));
+    DATACON_ASSIGN_OR_RETURN(Relation witnesses,
+                             constraint->full->ExecuteBound(Environment()));
     if (witnesses.size() > 0) {
       constraints_violations_->Increment();
       std::string witness = FirstWitness(witnesses);
@@ -394,18 +411,16 @@ Status Database::CheckOneConstraint(CompiledConstraint* constraint) {
   } else {
     if (span.active()) span.AddArg("mode", "simplified");
     for (const MovedInput& input : moved) {
-      CompiledEvent& event = constraint->events.at(input.relation);
+      CompiledEvent& event = *input.input->event;
       if (event.insert_mode == ConstraintCheckMode::kSkip) continue;
       for (const Tuple& delta_tuple : *input.delta) {
         for (CompiledResidue& residue : event.residues) {
           constraints_simplified_->Increment();
-          std::map<std::string, Value> params;
-          for (size_t i = 0; i < residue.param_fields.size(); ++i) {
-            params.emplace(residue.param_fields[i],
-                           delta_tuple.value(static_cast<int>(i)));
+          for (size_t i = 0; i < residue.slots.size(); ++i) {
+            *residue.slots[i] = delta_tuple.value(static_cast<int>(i));
           }
           DATACON_ASSIGN_OR_RETURN(Relation witnesses,
-                                   residue.query.Execute(params));
+                                   residue.query.ExecuteBound(residue.params));
           if (witnesses.size() > 0) {
             constraints_violations_->Increment();
             std::string witness = FirstWitness(witnesses);
@@ -413,13 +428,13 @@ Status Database::CheckOneConstraint(CompiledConstraint* constraint) {
               event_log_.Emit(
                   "constraint.violation",
                   {EventField::Str("name", constraint->decl->name()),
-                   EventField::Str("relation", input.relation),
+                   EventField::Str("relation", input.input->relation),
                    EventField::Str("witness", witness)});
             }
             return Status::ConstraintViolation(
                 "constraint '" + constraint->decl->name() +
                 "' violated by tuple " + delta_tuple.ToString() + " (" +
-                input.relation + "): witness " + witness);
+                input.input->relation + "): witness " + witness);
           }
         }
       }
@@ -427,10 +442,8 @@ Status Database::CheckOneConstraint(CompiledConstraint* constraint) {
   }
 
   // Success: advance the delta baseline to the current generations.
-  for (auto& [input, generation] : constraint->snapshot) {
-    DATACON_ASSIGN_OR_RETURN(const Relation* rel,
-                             catalog_.LookupRelation(input));
-    generation = rel->generation();
+  for (SnapshotEntry& entry : constraint->snapshot) {
+    entry.generation = entry.rel->generation();
   }
   return Status::OK();
 }
@@ -441,7 +454,7 @@ std::string Database::DescribeConstraints() const {
   // over the catalog relations' own indexes, scans, filters).
   auto plan = [this](const PreparedQuery& query) {
     std::string text;
-    for (const BranchPtr& branch : query.plan_.expr->branches()) {
+    for (const BranchPtr& branch : query.program_->plan.expr->branches()) {
       Result<std::string> one = ExplainBranch(*branch);
       if (!text.empty()) text += " | ";
       text += one.ok() ? one.value() : one.status().ToString();
@@ -572,6 +585,9 @@ Result<Relation> Database::ObservedEvaluation(const CalcExpr& expr,
   Result<Relation> out = run();
   last_record_.elapsed_ns = timer.ElapsedNs();
   last_record_.ok = out.ok();
+  // The span times what elapsed_ns times; its arguments and the record's
+  // rendering below are bookkeeping.
+  span.StopClock();
   if (span.active()) {
     for (const QueryField& f : kQueryFields) {
       span.AddArg(f.key, static_cast<int64_t>(f.Of(last_record_)));
@@ -586,8 +602,9 @@ Result<Relation> Database::Evaluate(const CalcExprPtr& expr,
                                     const Schema& schema,
                                     const Environment& params) {
   return ObservedEvaluation(*expr, nullptr, [&]() -> Result<Relation> {
-    DATACON_ASSIGN_OR_RETURN(QueryPlan plan, PlanQuery(expr));
-    return ExecutePlan(plan, schema, params);
+    DATACON_ASSIGN_OR_RETURN(std::unique_ptr<QueryProgram> program,
+                             PlanProgram(expr));
+    return RunProgram(program.get(), schema, params);
   });
 }
 
@@ -617,29 +634,75 @@ Result<QueryPlan> Database::PlanQuery(const CalcExprPtr& expr) const {
   return plan;
 }
 
-Result<Relation> Database::ExecutePlan(const QueryPlan& plan,
-                                       const Schema& schema,
-                                       const Environment& params,
-                                       bool allow_cache) {
-  return plan.seeded.has_value()
-             ? ExecuteSeeded(plan.expr, schema, params, *plan.seeded)
-             : EvaluateGeneral(plan.expr, schema, params, allow_cache);
+QueryProgram::Key Database::ProgramKeyNow() const {
+  QueryProgram::Key key;
+  key.definitions = catalog_.definition_version();
+  key.specialize = options_.specialize;
+  key.capture_rules = options_.use_capture_rules;
+  key.inline_nonrecursive = options_.inline_nonrecursive;
+  key.hash_joins = options_.eval.exec.use_hash_joins;
+  key.typed_proven = TypedProven();
+  key.unchecked = options_.eval.unchecked;
+  key.strategy = options_.eval.strategy;
+  return key;
 }
 
-Result<Relation> Database::ExecuteSeeded(const CalcExprPtr& expr,
+Result<std::unique_ptr<QueryProgram>> Database::PlanProgram(
+    const CalcExprPtr& expr) const {
+  auto program = std::make_unique<QueryProgram>();
+  program->key = ProgramKeyNow();
+  DATACON_ASSIGN_OR_RETURN(program->plan, PlanQuery(expr));
+  return program;
+}
+
+Status Database::CompileProgram(QueryProgram* program, bool for_explain) const {
+  const CalcExpr& expr = *program->plan.expr;
+  ApplicationGraph& graph = program->graph.emplace(&catalog_);
+  DATACON_RETURN_IF_ERROR(graph.AddRoots(expr));
+  if (const std::optional<SeededTcPlan>& seeded = program->plan.seeded) {
+    // DetectSeededTc leaves the closure's node the graph's only one.
+    const Range& closure_range = *expr.branches()[seeded->branch_index]
+                                      ->bindings()[seeded->binding_index]
+                                      .range;
+    Result<int> node = graph.FindNode(closure_range);
+    program->seeded_node = node.ok() ? node.value() : -1;
+  } else if (options_.specialize || for_explain) {
+    TraceSpan plan_span("plan specialize");
+    DATACON_ASSIGN_OR_RETURN(program->adornment,
+                             AnalyzeAdornment(expr, graph, catalog_));
+    DATACON_ASSIGN_OR_RETURN(
+        program->specialization,
+        BuildSpecializationPlan(*program->adornment, graph));
+  }
+  program->compiled = true;
+  return Status::OK();
+}
+
+Result<Relation> Database::RunProgram(QueryProgram* program,
+                                      const Schema& schema,
+                                      const Environment& params,
+                                      bool allow_cache) {
+  if (!program->compiled) DATACON_RETURN_IF_ERROR(CompileProgram(program));
+  return program->plan.seeded.has_value()
+             ? ExecuteSeeded(program, schema, params)
+             : EvaluateGeneral(program, schema, params, allow_cache);
+}
+
+Result<Relation> Database::ExecuteSeeded(QueryProgram* program,
                                          const Schema& schema,
-                                         const Environment& params,
-                                         const SeededTcPlan& plan) {
+                                         const Environment& params) {
   // Constant propagation into the recursive constructor: reachability from
   // the bound constant only, never the full closure. The closure becomes
   // its application node's relation; DetectSeededTc leaves that node the
   // graph's only one, so MaterializeAll has nothing left to evaluate.
   TraceSpan span("seeded closure");
-  ApplicationGraph graph(&catalog_);
-  DATACON_RETURN_IF_ERROR(graph.AddRoots(*expr));
+  const CalcExpr& expr = *program->plan.expr;
+  const SeededTcPlan& plan = *program->plan.seeded;
   EvalOptions eval_options = options_.eval;
   eval_options.typed_proven = TypedProven();
-  SystemEvaluator ev(&catalog_, &graph, eval_options, params);
+  SystemEvaluator ev(&catalog_, &*program->graph, eval_options,
+                     Environment(&params));
+  ev.InstallProgram(&program->system);
   ev.InstallEventLog(&event_log_);
   Result<Relation> result = [&]() -> Result<Relation> {
     DATACON_ASSIGN_OR_RETURN(const Relation* edges,
@@ -674,45 +737,43 @@ Result<Relation> Database::ExecuteSeeded(const CalcExprPtr& expr,
           ->counters()
           .Add("closure_tuples", static_cast<int64_t>(closure.size()));
     }
-    const Range& closure_range = *expr->branches()[plan.branch_index]
-                                      ->bindings()[plan.binding_index]
-                                      .range;
-    DATACON_ASSIGN_OR_RETURN(int node, graph.FindNode(closure_range));
+    int node = program->seeded_node;
+    if (node < 0) {
+      DATACON_ASSIGN_OR_RETURN(
+          node, program->graph->FindNode(*expr.branches()[plan.branch_index]
+                                              ->bindings()[plan.binding_index]
+                                              .range));
+    }
     DATACON_RETURN_IF_ERROR(ev.InstallNodeRelation(
         node, std::make_shared<Relation>(std::move(closure))));
     DATACON_RETURN_IF_ERROR(ev.MaterializeAll());
-    return ev.EvaluateExpr(*expr, schema);
+    return ev.EvaluateExpr(expr, schema);
   }();
   KeepRecord(&ev);
   return result;
 }
 
-Result<Relation> Database::EvaluateGeneral(const CalcExprPtr& expr,
+Result<Relation> Database::EvaluateGeneral(QueryProgram* program,
                                            const Schema& schema,
                                            const Environment& params,
                                            bool allow_cache) {
-  ApplicationGraph graph(&catalog_);
-  DATACON_RETURN_IF_ERROR(graph.AddRoots(*expr));
   EvalOptions eval_options = options_.eval;
   eval_options.typed_proven = TypedProven();
-  SystemEvaluator ev(&catalog_, &graph, eval_options, params);
+  SystemEvaluator ev(&catalog_, &*program->graph, eval_options,
+                     Environment(&params));
+  ev.InstallProgram(&program->system);
   ev.InstallEventLog(&event_log_);
   // Parameterized executions bypass the cache: parameter values change
   // results (and magic seeds) without appearing in any cache key.
   const bool use_cache = allow_cache && options_.cache && !params.HasParams();
   if (use_cache) ev.InstallMatCache(&mat_cache_);
-  std::optional<SpecializationPlan> plan;
+  if (program->specialization.has_value()) {
+    ev.InstallSpecialization(&*program->specialization);
+  }
+  if (options_.use_capture_rules) ev.InstallCaptureRules();
   Result<Relation> result = [&]() -> Result<Relation> {
-    if (options_.specialize) {
-      TraceSpan plan_span("plan specialize");
-      DATACON_ASSIGN_OR_RETURN(AdornmentAnalysis adornment,
-                               AnalyzeAdornment(*expr, graph, catalog_));
-      DATACON_ASSIGN_OR_RETURN(plan, BuildSpecializationPlan(adornment, graph));
-      if (plan.has_value()) ev.InstallSpecialization(&*plan);
-    }
-    if (options_.use_capture_rules) ev.InstallCaptureRules();
     DATACON_RETURN_IF_ERROR(ev.MaterializeAll());
-    return ev.EvaluateExpr(*expr, schema);
+    return ev.EvaluateExpr(*program->plan.expr, schema);
   }();
   KeepRecord(&ev);
   return result;
@@ -725,7 +786,8 @@ Result<PreparedQuery> Database::Prepare(
 
   PreparedQuery q;
   q.db_ = this;
-  DATACON_ASSIGN_OR_RETURN(q.plan_, PlanQuery(expr));
+  DATACON_ASSIGN_OR_RETURN(q.program_, PlanProgram(expr));
+  q.expr_ = std::move(expr);
   q.schema_ = std::move(schema);
   q.placeholders_ = std::move(placeholders);
   return q;
@@ -753,17 +815,43 @@ Result<Relation> PreparedQuery::Execute(
   }
   Environment env;
   for (const auto& [name, value] : params) env.BindParam(name, value);
-  // The plan was chosen at Prepare time (level 2); Execute runs level 3
-  // only — no re-detection, no re-inlining. Observability wraps it the
-  // same way Database::Evaluate wraps ad-hoc queries.
-  return db_->ObservedEvaluation(*plan_.expr, &plan_.description, [&] {
-    return db_->ExecutePlan(plan_, schema_, env, !cache_bypass_);
-  });
+  return ExecuteBound(env);
+}
+
+Result<Relation> PreparedQuery::ExecuteBound(const Environment& params) {
+  if (!(program_->key == db_->ProgramKeyNow())) {
+    // A definition or a plan-shaping option changed since the program was
+    // planned: plan the form afresh, as Prepare would now.
+    DATACON_ASSIGN_OR_RETURN(program_, db_->PlanProgram(expr_));
+  }
+  // The plan was chosen at planning time (level 2); Execute runs level 3
+  // only — compiled on the first run, reused by every later one.
+  // Observability wraps it the same way Database::Evaluate wraps ad-hoc
+  // queries.
+  QueryProgram* program = program_.get();
+  return db_->ObservedEvaluation(
+      *program->plan.expr, &program->plan.description, [&] {
+        const bool compiling = !program->compiled;
+        Result<Relation> out =
+            db_->RunProgram(program, schema_, params, !cache_bypass_);
+        if (compiling && program->compiled) {
+          db_->prepared_compilations_->Increment();
+        }
+        return out;
+      });
 }
 
 Result<std::string> Database::Explain(const RangePtr& range) const {
-  ApplicationGraph graph(&catalog_);
-  DATACON_ASSIGN_OR_RETURN(int root, graph.AddRootRange(*range));
+  // The program of the identity query `EACH __q IN range: TRUE` — the form
+  // EvalRange evaluates — without level-2 rewrites. Its adornment table is
+  // informational; the rewrite itself is gated by options().specialize
+  // (PRAGMA SPECIALIZE).
+  QueryProgram program;
+  program.plan.expr =
+      build::Union({build::IdentityBranch("__q", range, build::True())});
+  DATACON_RETURN_IF_ERROR(CompileProgram(&program, /*for_explain=*/true));
+  const ApplicationGraph& graph = *program.graph;
+  const AdornmentAnalysis& adornment = *program.adornment;
 
   std::string out = "query range: " + ToString(*range) + "\n";
 
@@ -778,24 +866,17 @@ Result<std::string> Database::Explain(const RangePtr& range) const {
   }
 
   out += "level 2 (query compilation): instantiated applications:\n";
-  if (root < 0) {
+  if (!range->ContainsConstructor()) {
     out += "  (none — plain range)\n";
     return out;
   }
   Result<SccDecomposition> scc = graph.Stratify();
   if (!scc.ok()) return scc.status();
 
-  // Adornment analysis over the identity query `EACH __q IN range: TRUE` —
-  // the same form EvalRange evaluates. The table is informational; the
-  // rewrite itself is gated by options().specialize (PRAGMA SPECIALIZE).
-  CalcExprPtr identity =
-      build::Union({build::IdentityBranch("__q", range, build::True())});
-  DATACON_ASSIGN_OR_RETURN(AdornmentAnalysis adornment,
-                           AnalyzeAdornment(*identity, graph, catalog_));
-  DATACON_ASSIGN_OR_RETURN(std::optional<SpecializationPlan> plan,
-                           BuildSpecializationPlan(adornment, graph));
   const SpecializationPlan* active_plan =
-      options_.specialize && plan.has_value() ? &*plan : nullptr;
+      options_.specialize && program.specialization.has_value()
+          ? &*program.specialization
+          : nullptr;
 
   for (int comp : scc->topological_order) {
     const std::vector<int>& members =

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/adorn.h"
 #include "analysis/constraint.h"
 #include "analysis/lint.h"
 #include "ast/branch.h"
@@ -20,6 +21,7 @@
 #include "core/instantiate.h"
 #include "core/matcache.h"
 #include "core/rewrite.h"
+#include "core/specialize.h"
 #include "storage/relation.h"
 #include "types/value.h"
 
@@ -106,8 +108,42 @@ struct QueryPlan {
   std::string description;
 };
 
-/// A compiled parameterized query form. Holds the chosen plan; Execute
-/// supplies the constants.
+/// A query form's compiled program (DESIGN §4.8): the level-2 plan and,
+/// once compiled, the level-3 program — the application graph, the
+/// adornment analysis and specialization plan, the seeded closure's node,
+/// and the SystemProgram every evaluation of the form runs. Parameter
+/// seeds, magic sets, indexes and cache entries stay per execution.
+struct QueryProgram {
+  /// What a program depends on besides its expression: the catalog's
+  /// definitions and the options that shape a plan. THREADS, PROFILE and
+  /// the data never do.
+  struct Key {
+    uint64_t definitions = 0;
+    bool specialize = false;
+    bool capture_rules = false;
+    bool inline_nonrecursive = false;
+    bool hash_joins = false;
+    bool typed_proven = false;
+    bool unchecked = false;
+    FixpointStrategy strategy = FixpointStrategy::kSemiNaive;
+    bool operator==(const Key&) const = default;
+  };
+
+  Key key;
+  QueryPlan plan;
+  /// Set once the level-3 parts below are built.
+  bool compiled = false;
+  std::optional<ApplicationGraph> graph;
+  std::optional<AdornmentAnalysis> adornment;
+  std::optional<SpecializationPlan> specialization;
+  /// The seeded plan's closure node, or -1 (the run then reports why).
+  int seeded_node = -1;
+  SystemProgram system;
+};
+
+/// A compiled parameterized query form. Owns its program, built once and
+/// reused by every Execute until a definition or a plan-shaping option
+/// changes; Execute supplies the constants and runs level 3 only.
 class PreparedQuery {
  public:
   /// Runs the compiled form with the given parameter values.
@@ -115,7 +151,9 @@ class PreparedQuery {
 
   /// One line describing the chosen plan ("seeded transitive closure on
   /// parameter 'p'" / "general evaluation").
-  const std::string& plan_description() const { return plan_.description; }
+  const std::string& plan_description() const {
+    return program_->plan.description;
+  }
 
   const Schema& result_schema() const { return schema_; }
 
@@ -123,8 +161,16 @@ class PreparedQuery {
   friend class Database;
   PreparedQuery() = default;
 
+  /// Runs the compiled form under `params`, which must bind exactly the
+  /// placeholders at their declared types (not re-checked): Execute after
+  /// validating its map, and the constraint checks with a reused
+  /// environment bound by position.
+  Result<Relation> ExecuteBound(const Environment& params);
+
   Database* db_ = nullptr;
-  QueryPlan plan_;
+  /// The form as prepared; a rebuild plans it afresh.
+  CalcExprPtr expr_;
+  std::unique_ptr<QueryProgram> program_;
   Schema schema_;
   std::map<std::string, ValueType> placeholders_;
   // Constraint checks set this: checking must be invisible, so even a
@@ -319,10 +365,14 @@ class Database {
   friend class PreparedQuery;
 
   /// One compiled residue: the parameterized denial remainder plus the
-  /// parameter name carrying each delta attribute.
+  /// parameter name carrying each delta attribute, and the environment its
+  /// executions reuse — `slots[i]` is the value of param_fields[i] in it,
+  /// so a delta tuple binds by position.
   struct CompiledResidue {
     PreparedQuery query;
     std::vector<std::string> param_fields;
+    Environment params;
+    std::vector<Value*> slots;
   };
   /// The compiled plan for INSERTs into one input relation. A residue that
   /// failed to compile degrades the event to kFull at define time.
@@ -330,14 +380,23 @@ class Database {
     ConstraintCheckMode insert_mode = ConstraintCheckMode::kFull;
     std::vector<CompiledResidue> residues;
   };
-  /// A defined constraint with its compiled checks and the input
-  /// generations as of the last successful check (the delta baseline).
+  /// One input of a constraint: its catalog relation (never dropped), its
+  /// compiled INSERT event (null when it has none), and its generation as
+  /// of the last successful check (the delta baseline).
+  struct SnapshotEntry {
+    std::string relation;
+    const Relation* rel = nullptr;
+    CompiledEvent* event = nullptr;
+    uint64_t generation = 0;
+  };
+  /// A defined constraint with its compiled checks and its inputs, in name
+  /// order.
   struct CompiledConstraint {
     ConstraintDeclPtr decl;
     ConstraintBody body;
     std::optional<PreparedQuery> full;
     std::map<std::string, CompiledEvent> events;
-    std::map<std::string, uint64_t> snapshot;
+    std::vector<SnapshotEntry> snapshot;
   };
 
   /// Re-checks every constraint whose input generations moved since its
@@ -365,7 +424,8 @@ class Database {
   /// snapshot stays as stale as it was.
   void RestoreBaselines(const std::vector<CompiledConstraint*>& verified);
 
-  /// Shared evaluation pipeline: level-2 rewrites + plan dispatch, wrapped
+  /// The ad-hoc evaluation pipeline: compiles a program for `expr` and
+  /// runs it once, through the code every prepared execution runs, wrapped
   /// in the per-query observability (trace span, latency/rounds/tuples
   /// histograms, slow-query log).
   Result<Relation> Evaluate(const CalcExprPtr& expr, const Schema& schema,
@@ -400,26 +460,38 @@ class Database {
   /// plan (with capture rules on), and names the result.
   Result<QueryPlan> PlanQuery(const CalcExprPtr& expr) const;
 
-  /// Level-3 execution of a chosen plan (no re-detection): ExecuteSeeded or
-  /// EvaluateGeneral.
-  Result<Relation> ExecutePlan(const QueryPlan& plan, const Schema& schema,
-                               const Environment& params,
-                               bool allow_cache = true);
+  /// The key a program compiled now would carry.
+  QueryProgram::Key ProgramKeyNow() const;
+
+  /// A fresh program for `expr`: its level-2 plan (PlanQuery) under the
+  /// current key, level 3 not yet compiled.
+  Result<std::unique_ptr<QueryProgram>> PlanProgram(
+      const CalcExprPtr& expr) const;
+
+  /// Compiles `program`'s level 3: instantiates the application graph of
+  /// its plan and, for a general plan, runs the adornment analysis and
+  /// builds the specialization plan (when options().specialize, or always
+  /// with `for_explain`); for a seeded plan, finds the closure's node.
+  Status CompileProgram(QueryProgram* program, bool for_explain = false) const;
+
+  /// Level-3 execution of a program (compiled first if it is not yet):
+  /// ExecuteSeeded or EvaluateGeneral. `allow_cache = false` forces the run
+  /// past the materialization cache (constraint checks).
+  Result<Relation> RunProgram(QueryProgram* program, const Schema& schema,
+                              const Environment& params,
+                              bool allow_cache = true);
 
   /// Level-3 execution of a seeded-closure plan: installs the closure of
   /// the seed as its application node's relation, then evaluates the query
   /// like any other.
-  Result<Relation> ExecuteSeeded(const CalcExprPtr& expr, const Schema& schema,
-                                 const Environment& params,
-                                 const SeededTcPlan& plan);
+  Result<Relation> ExecuteSeeded(QueryProgram* program, const Schema& schema,
+                                 const Environment& params);
 
-  /// Level-3 general execution (instantiate, specialize, fixpoint);
-  /// `expr` must already be rewritten. `allow_cache = false` forces the
-  /// run past the materialization cache (constraint checks).
-  Result<Relation> EvaluateGeneral(const CalcExprPtr& expr,
-                                   const Schema& schema,
+  /// Level-3 general execution (specialize, fixpoint) of a compiled
+  /// program.
+  Result<Relation> EvaluateGeneral(QueryProgram* program, const Schema& schema,
                                    const Environment& params,
-                                   bool allow_cache = true);
+                                   bool allow_cache);
 
   Status DefineConstructorGroup(const std::vector<ConstructorDeclPtr>& decls,
                                 bool check_positivity);
@@ -452,6 +524,7 @@ class Database {
   Counter* constraints_simplified_;
   Counter* constraints_full_rechecks_;
   Counter* constraints_violations_;
+  Counter* prepared_compilations_;
   SlowQueryLog slow_query_log_;
   MatCache mat_cache_;
   std::map<std::string, CompiledConstraint> constraints_;

@@ -192,6 +192,7 @@ SystemEvaluator::SystemEvaluator(const Catalog* catalog,
       graph_(graph),
       options_(options),
       params_(std::move(params)) {
+  if (options_.profile) lifetime_.emplace();
   totals_.resize(graph_->nodes().size());
   if (options_.exec.pool == nullptr &&
       ThreadPool::ResolveThreadCount(options_.exec.num_threads) > 1) {
@@ -204,7 +205,7 @@ SystemEvaluator::SystemEvaluator(const Catalog* catalog,
 }
 
 std::unique_ptr<ProfileNode> SystemEvaluator::TakeProfile() {
-  if (profile_ != nullptr) profile_->set_elapsed_ns(lifetime_.ElapsedNs());
+  if (profile_ != nullptr) profile_->set_elapsed_ns(lifetime_->ElapsedNs());
   cur_ = nullptr;
   return std::move(profile_);
 }
@@ -217,6 +218,11 @@ std::string SystemEvaluator::ComponentLabel(
     label += graph_->nodes()[static_cast<size_t>(component[i])].key;
   }
   return label + "]";
+}
+
+void SystemEvaluator::InstallProgram(SystemProgram* program) {
+  DATACON_CHECK(!materialized_, "InstallProgram after MaterializeAll");
+  program_ = program;
 }
 
 Status SystemEvaluator::InstallNodeRelation(
@@ -266,17 +272,24 @@ Status SystemEvaluator::MaterializeAll() {
     }
   }
 
-  SccDecomposition scc;
-  if (options_.unchecked) {
-    // Unchecked mode: no stratification guarantees; plain iteration only.
-    scc = ComputeScc(graph_->BuildDigraph());
-  } else {
-    DATACON_ASSIGN_OR_RETURN(scc, graph_->Stratify());
+  if (!program_->scc.has_value()) {
+    SccDecomposition scc;
+    if (options_.unchecked) {
+      // Unchecked mode: no stratification guarantees; plain iteration only.
+      scc = ComputeScc(graph_->BuildDigraph());
+    } else {
+      DATACON_ASSIGN_OR_RETURN(scc, graph_->Stratify());
+    }
+    program_->strategies.assign(scc.components.size(), {-1, -1});
+    program_->component_branches.clear();
+    program_->component_branches.resize(scc.components.size());
+    program_->scc = std::move(scc);
   }
+  const SccDecomposition& scc = *program_->scc;
 
-  for (int comp : scc.topological_order) {
-    const std::vector<int>& members =
-        scc.components[static_cast<size_t>(comp)];
+  for (int comp_id : scc.topological_order) {
+    const size_t comp = static_cast<size_t>(comp_id);
+    const std::vector<int>& members = scc.components[comp];
     // Components fully covered by installed relations (a seeded closure)
     // are already materialized.
     bool installed = true;
@@ -287,9 +300,7 @@ Status SystemEvaluator::MaterializeAll() {
       }
     }
     if (installed) continue;
-    const ComponentStrategy strategy = ChooseComponentStrategy(
-        *graph_, *catalog_, members, scc.cyclic[static_cast<size_t>(comp)],
-        options_, capture_rules_, plan_);
+    const ComponentStrategy strategy = StrategyOf(comp);
     // Indexed by ComponentStrategy.
     static constexpr const char* kStrategyNames[] = {
         "single pass", "naive", "semi-naive", "capture"};
@@ -300,8 +311,9 @@ Status SystemEvaluator::MaterializeAll() {
       comp_span.AddArg("strategy", std::string(strategy_name));
     }
     ProfileNode* comp_node = nullptr;
-    Timer comp_timer;
+    std::optional<Timer> comp_timer;
     if (profile_ != nullptr) {
+      comp_timer.emplace();
       const std::string& key =
           graph_->nodes()[static_cast<size_t>(members[0])].key;
       comp_node = profile_->AddChild(
@@ -331,7 +343,7 @@ Status SystemEvaluator::MaterializeAll() {
         }
       } else if (found.outcome == CacheOutcome::kDeltaHit) {
         EvalStats before = record_.stats;
-        Status maintain = MaintainComponent(members, found);
+        Status maintain = MaintainComponent(comp, found);
         Result<std::vector<CacheInput>> inputs =
             maintain.ok() ? SnapshotCacheInputs(ck->inputs, *catalog_)
                           : Result<std::vector<CacheInput>>(maintain);
@@ -372,7 +384,7 @@ Status SystemEvaluator::MaterializeAll() {
       } else if (strategy == ComponentStrategy::kNaive) {
         status = NaiveFixpoint(members);
       } else {
-        status = SemiNaiveFixpoint(members);
+        status = SemiNaiveFixpoint(comp);
       }
       if (status.ok() && ck.has_value()) {
         Result<std::vector<CacheInput>> inputs =
@@ -385,7 +397,7 @@ Status SystemEvaluator::MaterializeAll() {
       }
     }
     if (comp_node != nullptr) {
-      comp_node->set_elapsed_ns(comp_timer.ElapsedNs());
+      comp_node->set_elapsed_ns(comp_timer->ElapsedNs());
       cur_ = nullptr;
     }
     DATACON_RETURN_IF_ERROR(status);
@@ -412,37 +424,51 @@ Result<const Relation*> SystemEvaluator::NodeRelation(int node) const {
 
 std::optional<int> SystemEvaluator::HandOffNode(
     const CalcExpr& expr, const Schema& result_schema) const {
-  if (plan_ != nullptr || expr.branches().size() != 1) return std::nullopt;
-  const Branch& branch = *expr.branches()[0];
-  if (branch.targets().has_value() || branch.bindings().size() != 1 ||
-      branch.pred()->kind() != Pred::Kind::kBool ||
-      !static_cast<const BoolPred&>(*branch.pred()).value()) {
-    return std::nullopt;
+  if (plan_ != nullptr) return std::nullopt;
+  if (!program_->handoff_node.has_value()) {
+    // The expression's shape decides once whether it names one node.
+    program_->handoff_node = [&]() -> int {
+      if (expr.branches().size() != 1) return -1;
+      const Branch& branch = *expr.branches()[0];
+      if (branch.targets().has_value() || branch.bindings().size() != 1 ||
+          branch.pred()->kind() != Pred::Kind::kBool ||
+          !static_cast<const BoolPred&>(*branch.pred()).value()) {
+        return -1;
+      }
+      RangeSplit split = SplitAtLastConstructor(*branch.bindings()[0].range);
+      if (!split.ctor_head.has_value() || !split.trailing_selectors.empty()) {
+        return -1;
+      }
+      Result<int> node = graph_->FindNode(**split.ctor_head);
+      return node.ok() ? node.value() : -1;
+    }();
   }
-  RangeSplit split = SplitAtLastConstructor(*branch.bindings()[0].range);
-  if (!split.ctor_head.has_value() || !split.trailing_selectors.empty()) {
-    return std::nullopt;
-  }
-  Result<int> node = graph_->FindNode(**split.ctor_head);
-  if (!node.ok()) return std::nullopt;
-  const std::shared_ptr<Relation>& total =
-      totals_[static_cast<size_t>(node.value())];
+  const int node = *program_->handoff_node;
+  if (node < 0) return std::nullopt;
+  const std::shared_ptr<Relation>& total = totals_[static_cast<size_t>(node)];
   if (total == nullptr || !(total->schema() == result_schema)) {
     return std::nullopt;
   }
-  return node.value();
+  return node;
 }
 
 Result<Relation> SystemEvaluator::EvaluateExpr(const CalcExpr& expr,
                                                const Schema& result_schema) {
   Relation out(result_schema);
   ProfileNode* query_node = nullptr;
-  Timer timer;
+  std::optional<Timer> timer;
   if (profile_ != nullptr) {
+    timer.emplace();
     query_node = profile_->AddChild("query");
     cur_ = query_node;
   }
   TraceSpan span("query branches");
+  if (program_->query != &expr) {
+    program_->query = &expr;
+    program_->query_branches.clear();
+    program_->query_branches.resize(expr.branches().size());
+    program_->handoff_node.reset();
+  }
   Status status = Status::OK();
   if (std::optional<int> node = HandOffNode(expr, result_schema)) {
     // The identity branch would re-insert every tuple of the node into an
@@ -459,8 +485,9 @@ Result<Relation> SystemEvaluator::EvaluateExpr(const CalcExpr& expr,
     exec.env_count = exec.outer_tuples = exec.inserted = out.size();
     record_.AddBranchExec(exec, /*count_inserted=*/true, cur_);
   } else {
-    for (const BranchPtr& branch : expr.branches()) {
-      status = EvaluateBranch(*branch, &out);
+    for (size_t bi = 0; bi < expr.branches().size(); ++bi) {
+      status = EvaluateBranch(*expr.branches()[bi], &out,
+                              /*count_inserted=*/true, /*node=*/-1, bi);
       if (!status.ok()) break;
     }
   }
@@ -472,7 +499,7 @@ Result<Relation> SystemEvaluator::EvaluateExpr(const CalcExpr& expr,
       query_node->counters().Add("result_tuples",
                                  static_cast<int64_t>(out.size()));
     }
-    query_node->set_elapsed_ns(timer.ElapsedNs());
+    query_node->set_elapsed_ns(timer->ElapsedNs());
     cur_ = nullptr;
   }
   DATACON_RETURN_IF_ERROR(status);
@@ -566,20 +593,24 @@ Status SystemEvaluator::NaiveFixpoint(const std::vector<int>& component) {
   return Status::OK();
 }
 
-Result<std::vector<SystemEvaluator::BranchInfo>>
-SystemEvaluator::AnalyzeComponentBranches(const std::vector<int>& component) {
+Result<const std::vector<ComponentBranch>*> SystemEvaluator::ComponentBranches(
+    size_t comp) {
+  std::optional<std::vector<ComponentBranch>>& cached =
+      program_->component_branches[comp];
+  if (cached.has_value()) return &*cached;
+  const std::vector<int>& component = program_->scc->components[comp];
   // Pre-analyze each branch: which bindings are recursive (range over an
   // in-component application) and whether the predicate itself references
   // the component (through a quantifier or membership range), which makes
   // the branch non-differentiable — it is then fully re-evaluated each
   // round, which is sound (monotonicity) if slower.
-  std::vector<BranchInfo> infos;
+  std::vector<ComponentBranch> infos;
   for (int n : component) {
     const ApplicationGraph::Node& node =
         graph_->nodes()[static_cast<size_t>(n)];
     for (size_t bi = 0; bi < node.body->branches().size(); ++bi) {
       const BranchPtr& branch = node.body->branches()[bi];
-      BranchInfo info;
+      ComponentBranch info;
       info.branch = branch.get();
       info.owner = n;
       info.branch_index = bi;
@@ -615,7 +646,18 @@ SystemEvaluator::AnalyzeComponentBranches(const std::vector<int>& component) {
       infos.push_back(std::move(info));
     }
   }
-  return infos;
+  cached = std::move(infos);
+  return &*cached;
+}
+
+ComponentStrategy SystemEvaluator::StrategyOf(size_t comp) {
+  int8_t& chosen = program_->strategies[comp][plan_ != nullptr ? 1 : 0];
+  if (chosen < 0) {
+    chosen = static_cast<int8_t>(ChooseComponentStrategy(
+        *graph_, *catalog_, program_->scc->components[comp],
+        program_->scc->cyclic[comp], options_, capture_rules_, plan_));
+  }
+  return static_cast<ComponentStrategy>(chosen);
 }
 
 SystemEvaluator::NodeRelations SystemEvaluator::EmptyRelations(
@@ -628,13 +670,15 @@ SystemEvaluator::NodeRelations SystemEvaluator::EmptyRelations(
   return out;
 }
 
-Status SystemEvaluator::SemiNaiveFixpoint(const std::vector<int>& component) {
+Status SystemEvaluator::SemiNaiveFixpoint(size_t comp) {
+  const std::vector<int>& component = program_->scc->components[comp];
   iterating_nodes_.clear();
   iterating_nodes_.insert(component.begin(), component.end());
   ProfileNode* comp_node = cur_;
 
-  DATACON_ASSIGN_OR_RETURN(std::vector<BranchInfo> infos,
-                           AnalyzeComponentBranches(component));
+  DATACON_ASSIGN_OR_RETURN(const std::vector<ComponentBranch>* branches,
+                           ComponentBranches(comp));
+  const std::vector<ComponentBranch>& infos = *branches;
 
   // Round 1 evaluates every body over the still-empty totals — f(∅), the
   // seed of the Tarski iteration — and folds like every later round.
@@ -658,11 +702,10 @@ Status SystemEvaluator::SemiNaiveFixpoint(const std::vector<int>& component) {
   return Status::OK();
 }
 
-Status SystemEvaluator::DifferentialRounds(const std::vector<int>& component,
-                                           const std::vector<BranchInfo>& infos,
-                                           NodeRelations* deltas_io,
-                                           ProfileNode* comp_node,
-                                           size_t* round_io) {
+Status SystemEvaluator::DifferentialRounds(
+    const std::vector<int>& component,
+    const std::vector<ComponentBranch>& infos, NodeRelations* deltas_io,
+    ProfileNode* comp_node, size_t* round_io) {
   NodeRelations& deltas = *deltas_io;
   // Differential rounds. The per-component round budget mirrors
   // NaiveFixpoint: `round` is local to this component (stats.iterations
@@ -697,7 +740,7 @@ Status SystemEvaluator::DifferentialRounds(const std::vector<int>& component,
 
     OldRelations olds;
     NodeRelations raws = EmptyRelations(component);
-    for (const BranchInfo& info : infos) {
+    for (const ComponentBranch& info : infos) {
       if (!info.recursive) continue;  // contributes in round 1 only
       Relation* out = raws[info.owner].get();
       if (!info.differentiable) {
@@ -727,7 +770,7 @@ Status SystemEvaluator::DifferentialRounds(const std::vector<int>& component,
 }
 
 Status SystemEvaluator::DifferentialBranch(
-    const BranchInfo& info, const std::vector<ChangedSource>& changed,
+    const ComponentBranch& info, const std::vector<ChangedSource>& changed,
     OldRelations* olds, Relation* out) {
   // The standard non-linear differential rewrite: one evaluation per
   // changed occurrence i, where occurrence i ranges over its delta, changed
@@ -945,8 +988,9 @@ std::vector<CachedRelation> SystemEvaluator::SnapshotMembers(
   return out;
 }
 
-Status SystemEvaluator::MaintainComponent(const std::vector<int>& component,
+Status SystemEvaluator::MaintainComponent(size_t comp,
                                           const CacheLookup& found) {
+  const std::vector<int>& component = program_->scc->components[comp];
   ProfileNode* comp_node = cur_;
 
   // Mutable working copies — the cached relations themselves stay
@@ -960,8 +1004,9 @@ Status SystemEvaluator::MaintainComponent(const std::vector<int>& component,
   iterating_nodes_.clear();
   iterating_nodes_.insert(component.begin(), component.end());
 
-  DATACON_ASSIGN_OR_RETURN(std::vector<BranchInfo> infos,
-                           AnalyzeComponentBranches(component));
+  DATACON_ASSIGN_OR_RETURN(const std::vector<ComponentBranch>* branches,
+                           ComponentBranches(comp));
+  const std::vector<ComponentBranch>& infos = *branches;
 
   // The inserted tuples of each changed base.
   std::map<std::string, std::unique_ptr<Relation>> base_deltas;
@@ -993,7 +1038,7 @@ Status SystemEvaluator::MaintainComponent(const std::vector<int>& component,
   {
     RoundScope scope(this, comp_node, 1, "maintain");
     OldRelations olds;
-    for (const BranchInfo& info : infos) {
+    for (const ComponentBranch& info : infos) {
       const std::vector<Binding>& bindings = info.branch->bindings();
       std::vector<ChangedSource> changed(bindings.size());
       bool any_changed = false;
@@ -1029,7 +1074,7 @@ Status SystemEvaluator::MaintainComponent(const std::vector<int>& component,
   }
 
   bool any_recursive = false;
-  for (const BranchInfo& info : infos) {
+  for (const ComponentBranch& info : infos) {
     if (info.recursive) any_recursive = true;
   }
   size_t round = 1;
@@ -1088,64 +1133,133 @@ Result<const Relation*> SystemEvaluator::FilteredBinding(
   return scratch_.back().get();
 }
 
+BranchProgram& SystemEvaluator::BranchSlot(int node, size_t branch_index) {
+  if (node < 0) return program_->query_branches[branch_index];
+  std::vector<std::vector<BranchProgram>>& nodes = program_->node_branches;
+  if (nodes.empty()) nodes.resize(graph_->nodes().size());
+  std::vector<BranchProgram>& branches = nodes[static_cast<size_t>(node)];
+  if (branches.empty()) {
+    branches.resize(
+        graph_->nodes()[static_cast<size_t>(node)].body->branches().size());
+  }
+  return branches[branch_index];
+}
+
 Status SystemEvaluator::EvaluateBranch(
     const Branch& branch, Relation* out, bool count_inserted, int node,
     size_t branch_index, const std::vector<const Relation*>& supplied) {
+  BranchProgram& program = BranchSlot(node, branch_index);
+  const std::vector<Binding>& bindings = branch.bindings();
+  if (!program.sources_ready) {
+    program.sources.reserve(bindings.size());
+    for (const Binding& b : bindings) {
+      BindingSource source;
+      source.split = SplitAtLastConstructor(*b.range);
+      if (source.split.ctor_head.has_value()) {
+        Result<int> found = graph_->FindNode(**source.split.ctor_head);
+        if (found.ok()) source.node = found.value();
+      } else {
+        Result<const Relation*> base =
+            catalog_->LookupRelation(source.split.base_relation);
+        if (base.ok()) source.base = base.value();
+      }
+      if (!source.split.trailing_selectors.empty()) {
+        source.cache_key = ToString(*b.range);
+      }
+      program.sources.push_back(std::move(source));
+    }
+    program.sources_ready = true;
+  }
+
   std::vector<ResolvedBinding> resolved;
-  resolved.reserve(branch.bindings().size());
-  for (size_t j = 0; j < branch.bindings().size(); ++j) {
-    const Binding& b = branch.bindings()[j];
+  resolved.reserve(bindings.size());
+  for (size_t j = 0; j < bindings.size(); ++j) {
+    const Binding& b = bindings[j];
+    const BindingSource& source = program.sources[j];
     const Relation* rel = nullptr;
     if (j < supplied.size() && supplied[j] != nullptr) {
-      DATACON_ASSIGN_OR_RETURN(
-          rel, ApplyTrailing(supplied[j], SplitAtLastConstructor(*b.range)));
+      DATACON_ASSIGN_OR_RETURN(rel, ApplyTrailing(supplied[j], source.split));
     } else {
-      DATACON_ASSIGN_OR_RETURN(rel, Resolve(*b.range));
+      DATACON_ASSIGN_OR_RETURN(rel, ResolveSource(source, *b.range));
     }
     DATACON_ASSIGN_OR_RETURN(rel, FilteredBinding(node, branch_index, j, rel));
     resolved.push_back(ResolvedBinding{b.var, rel});
   }
+  const bool catalog0 =
+      !resolved.empty() && resolved[0].relation->is_catalog_variable();
+  std::optional<CompiledBranch>& compiled = program.compiled[catalog0 ? 1 : 0];
+  if (!compiled.has_value()) {
+    std::vector<BindingSchema> schemas;
+    schemas.reserve(resolved.size());
+    for (const ResolvedBinding& r : resolved) {
+      schemas.push_back(BindingSchema{r.var, &r.relation->schema(),
+                                      r.relation->is_catalog_variable()});
+    }
+    Result<CompiledBranch> fresh =
+        CompileBranch(branch, schemas, this, options_.exec);
+    if (!fresh.ok()) return fresh.status();
+    compiled = std::move(fresh).value();
+  }
   Evaluator eval(this, options_.typed_proven);
   BranchExecStats exec_stats;
-  DATACON_RETURN_IF_ERROR(ExecuteBranch(branch, resolved, eval, params_, out,
-                                        &exec_stats, options_.exec));
+  DATACON_RETURN_IF_ERROR(RunBranch(branch, *compiled, resolved, eval,
+                                    params_, out, &exec_stats, options_.exec));
   record_.AddBranchExec(exec_stats, count_inserted, cur_);
   return Status::OK();
 }
 
 Result<const Relation*> SystemEvaluator::Resolve(const Range& range) const {
-  RangeSplit split = SplitAtLastConstructor(range);
-  const Relation* base = nullptr;
-  bool stable = true;
+  BindingSource source;
+  source.split = SplitAtLastConstructor(range);
+  if (source.split.ctor_head.has_value()) {
+    DATACON_ASSIGN_OR_RETURN(source.node,
+                             graph_->FindNode(**source.split.ctor_head));
+  } else {
+    DATACON_ASSIGN_OR_RETURN(
+        source.base, catalog_->LookupRelation(source.split.base_relation));
+  }
+  if (!source.split.trailing_selectors.empty()) {
+    source.cache_key = ToString(range);
+  }
+  return ResolveSource(source, range);
+}
 
-  if (split.ctor_head.has_value()) {
-    DATACON_ASSIGN_OR_RETURN(int node, graph_->FindNode(**split.ctor_head));
-    if (totals_[static_cast<size_t>(node)] == nullptr) {
-      return Status::Internal("application '" + ToString(**split.ctor_head) +
+Result<const Relation*> SystemEvaluator::ResolveSource(
+    const BindingSource& source, const Range& range) const {
+  const Relation* base = source.base;
+  bool stable = true;
+  if (source.node >= 0) {
+    const std::shared_ptr<Relation>& total =
+        totals_[static_cast<size_t>(source.node)];
+    if (total == nullptr) {
+      return Status::Internal("application '" +
+                              ToString(**source.split.ctor_head) +
                               "' resolved before materialization");
     }
-    base = totals_[static_cast<size_t>(node)].get();
-    stable = iterating_nodes_.count(node) == 0;
-  } else {
-    DATACON_ASSIGN_OR_RETURN(base, catalog_->LookupRelation(split.base_relation));
+    base = total.get();
+    stable = iterating_nodes_.count(source.node) == 0;
+  } else if (base == nullptr) {
+    // Compilation could not resolve the range: resolving it by name
+    // reports why.
+    return Resolve(range);
   }
 
-  if (split.trailing_selectors.empty()) return base;
+  if (source.split.trailing_selectors.empty()) return base;
 
-  std::string key = ToString(range);
   if (stable) {
-    auto it = source_cache_.find(key);
+    auto it = source_cache_.find(source.cache_key);
     if (it != source_cache_.end()) return it->second.get();
   }
 
   DATACON_ASSIGN_OR_RETURN(const Relation* current,
-                           ApplyTrailing(base, split));
+                           ApplyTrailing(base, source.split));
   // The final filtered relation lives in scratch_; promote it to the cache
   // when the source is stable.
   if (stable) {
-    source_cache_[key] = std::move(scratch_.back());
+    std::unique_ptr<Relation>& cached = source_cache_[source.cache_key];
+    cached = std::move(scratch_.back());
     scratch_.pop_back();
-    return source_cache_[key].get();
+    return cached.get();
   }
   return current;
 }
@@ -1170,7 +1284,7 @@ Result<std::unique_ptr<Relation>> SystemEvaluator::ApplySelector(
                              "' argument count mismatch");
   }
   Evaluator eval(this, options_.typed_proven);
-  Environment env = params_;
+  Environment env(&params_);
   for (size_t i = 0; i < app.term_args.size(); ++i) {
     // Selector arguments in range position must be constants (literals or
     // prepared-query parameters); correlated arguments would need an outer

@@ -1,6 +1,8 @@
 #ifndef DATACON_CORE_FIXPOINT_H_
 #define DATACON_CORE_FIXPOINT_H_
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -15,6 +17,7 @@
 #include "core/catalog.h"
 #include "core/instantiate.h"
 #include "core/specialize.h"
+#include "ra/branch_exec.h"
 #include "ra/branch_plan.h"
 #include "ra/env.h"
 #include "ra/resolver.h"
@@ -22,7 +25,6 @@
 
 namespace datacon {
 
-struct BranchExecStats;
 class EventLog;
 class MatCache;
 class TraceSpan;
@@ -209,6 +211,75 @@ ComponentStrategy ChooseComponentStrategy(const ApplicationGraph& graph,
                                           bool capture_rules,
                                           const SpecializationPlan* plan);
 
+/// Per-branch differential analysis of one component: which bindings are
+/// recursive (range over an in-component application) and whether the
+/// predicate references the component, shared by the semi-naive rounds and
+/// cache maintenance.
+struct ComponentBranch {
+  const Branch* branch;
+  int owner;
+  size_t branch_index = 0;  // position within the owner's body
+  std::vector<int> binding_nodes;  // in-component node id per binding, or -1
+  bool differentiable = true;
+  bool recursive = false;
+};
+
+/// Where one binding of a compiled branch reads from: the range split
+/// around its last constructor application, resolved once against the
+/// application graph and the catalog.
+struct BindingSource {
+  RangeSplit split;
+  /// The application node of split.ctor_head, or -1 when the range is
+  /// constructor-free.
+  int node = -1;
+  /// The catalog relation a constructor-free range names (catalog
+  /// relations are never dropped), or null when the name is unknown — the
+  /// run then resolves by name and reports the error.
+  const Relation* base = nullptr;
+  /// ToString(range), the selector-chain cache key; only set when the
+  /// range has trailing selectors.
+  std::string cache_key;
+};
+
+/// One branch of a compiled program: its binding sources and its compiled
+/// plan (ra/branch_exec.h CompiledBranch), by whether level 0 reads a
+/// catalog relation variable — the one runtime fact a level plan depends
+/// on (a delta, a magic-set filter or trailing selectors bind level 0 to a
+/// relation built for one execution instead).
+struct BranchProgram {
+  bool sources_ready = false;
+  std::vector<BindingSource> sources;
+  std::optional<CompiledBranch> compiled[2];
+};
+
+/// The level-3 half of a compiled query program (DESIGN §4.8): what
+/// SystemEvaluator derives from its application graph, its specialization
+/// plan and its options before any tuple moves — the stratification, each
+/// component's strategy and differential analysis, and every branch's
+/// binding sources and compiled plan, held by position. The evaluators
+/// running the program fill it on first use, so each part costs at most
+/// what one evaluation paid before, and every later run reuses it. It
+/// holds no index, no magic set, no cache entry and no pointer to a
+/// relation built for one execution. Valid while the graph, the catalog's
+/// definitions and the plan-shaping options are those it was filled under
+/// — the owner's concern (Database keys it; an evaluator that owns its
+/// program uses it for one evaluation).
+struct SystemProgram {
+  std::optional<SccDecomposition> scc;
+  /// Per component: ChooseComponentStrategy without a specialization plan
+  /// [0] and with the evaluator's plan [1]; -1 until chosen.
+  std::vector<std::array<int8_t, 2>> strategies;
+  /// Per component: its ComponentBranch list, once analyzed.
+  std::vector<std::optional<std::vector<ComponentBranch>>> component_branches;
+  /// [node][branch] over the application graph's bodies.
+  std::vector<std::vector<BranchProgram>> node_branches;
+  /// The branches of the query expression last evaluated (EvaluateExpr)
+  /// and, once examined, the node whose relation it hands off (-1: none).
+  const CalcExpr* query = nullptr;
+  std::vector<BranchProgram> query_branches;
+  std::optional<int> handoff_node;
+};
+
 /// Evaluates an instantiated application system (level 3 of the paper's
 /// framework): components of the application graph are materialized in
 /// dependency order — acyclic components in a single pass, cyclic ones by
@@ -221,7 +292,8 @@ class SystemEvaluator : public RelationResolver {
  public:
   /// `catalog` and `graph` must outlive the evaluator. `params` carries the
   /// scalar placeholder bindings of a prepared query form (empty for plain
-  /// evaluation).
+  /// evaluation); it may extend an environment that outlives the evaluator
+  /// (Environment(const Environment*)), so nothing is copied.
   SystemEvaluator(const Catalog* catalog, const ApplicationGraph* graph,
                   EvalOptions options, Environment params = {});
 
@@ -255,6 +327,14 @@ class SystemEvaluator : public RelationResolver {
   /// cache, profile and span path as any other component. Must be called
   /// before MaterializeAll.
   void InstallCaptureRules() { capture_rules_ = true; }
+
+  /// Runs `program` (not owned; must outlive the evaluator) instead of a
+  /// program of the evaluator's own: compiled parts it already holds are
+  /// reused, missing ones are compiled into it. The caller guarantees it was
+  /// filled for this evaluator's graph, catalog definitions, plan-shaping
+  /// options, specialization plan and capture-rule setting. Must be called
+  /// before MaterializeAll.
+  void InstallProgram(SystemProgram* program);
 
   /// Installs a structured-event sink (not owned; may be null): the
   /// evaluator emits specialize.fallback when a planned specialization
@@ -311,18 +391,6 @@ class SystemEvaluator : public RelationResolver {
   /// The bookkeeping of one fixpoint round (defined in fixpoint.cc).
   class RoundScope;
 
-  /// Per-branch differential analysis of one component (which bindings are
-  /// recursive, whether the predicate references the component), shared by
-  /// SemiNaiveFixpoint and cache maintenance.
-  struct BranchInfo {
-    const Branch* branch;
-    int owner;
-    size_t branch_index = 0;  // position within the owner's body
-    std::vector<int> binding_nodes;  // in-component node id per binding, or -1
-    bool differentiable = true;
-    bool recursive = false;
-  };
-
   /// The component-key/inputs/maintainability triple of a cacheable
   /// component; nullopt when the component must not be cached (unchecked
   /// mode, unknown input names, a specialization restricted by parameter
@@ -347,17 +415,30 @@ class SystemEvaluator : public RelationResolver {
   /// Naive (Jacobi) fixpoint over one cyclic component.
   Status NaiveFixpoint(const std::vector<int>& component);
 
-  /// Semi-naive fixpoint over one cyclic component.
-  Status SemiNaiveFixpoint(const std::vector<int>& component);
+  /// Semi-naive fixpoint over cyclic component `comp`.
+  Status SemiNaiveFixpoint(size_t comp);
 
   /// The capture rule over one captured node: the FullClosure of its base
   /// range, with its `capture` span and profile counters.
   Status CaptureClosure(int node);
 
-  /// The BranchInfo list of the bodies of `component`, the component being
-  /// iterated (iterating_nodes_).
-  Result<std::vector<BranchInfo>> AnalyzeComponentBranches(
-      const std::vector<int>& component);
+  /// The ComponentBranch list of the bodies of component `comp` (which
+  /// must be the component being iterated, iterating_nodes_), analyzed on
+  /// first use and kept in the program.
+  Result<const std::vector<ComponentBranch>*> ComponentBranches(size_t comp);
+
+  /// The strategy of component `comp` under the current plan, chosen on
+  /// first use and kept in the program.
+  ComponentStrategy StrategyOf(size_t comp);
+
+  /// The program slot of branch `branch_index` of `node`'s body, or of the
+  /// current query expression when `node` is -1.
+  BranchProgram& BranchSlot(int node, size_t branch_index);
+
+  /// Resolves `source` (binding `range` of a compiled branch) like Resolve,
+  /// without re-splitting the range or looking the base up by name.
+  Result<const Relation*> ResolveSource(const BindingSource& source,
+                                        const Range& range) const;
 
   /// One relation per component member, keyed by node id: a semi-naive
   /// round's raw outputs, which FoldDeltas turns into the round's deltas.
@@ -372,7 +453,7 @@ class SystemEvaluator : public RelationResolver {
   /// grows. `round` counts this component's rounds (already includes the
   /// seed).
   Status DifferentialRounds(const std::vector<int>& component,
-                            const std::vector<BranchInfo>& infos,
+                            const std::vector<ComponentBranch>& infos,
                             NodeRelations* deltas, ProfileNode* comp_node,
                             size_t* round);
 
@@ -401,7 +482,7 @@ class SystemEvaluator : public RelationResolver {
   /// (`changed[i].delta` non-null), where occurrence i reads its delta,
   /// changed occurrences before i read OldOf, and every other occurrence
   /// reads through Resolve. Insertions are counted from the folded deltas.
-  Status DifferentialBranch(const BranchInfo& info,
+  Status DifferentialBranch(const ComponentBranch& info,
                             const std::vector<ChangedSource>& changed,
                             OldRelations* olds, Relation* out);
 
@@ -436,8 +517,7 @@ class SystemEvaluator : public RelationResolver {
   /// semi-naive with the differential rewrite over the changed bases, then
   /// runs the differential loop. On error the caller degrades to a full
   /// recompute.
-  Status MaintainComponent(const std::vector<int>& component,
-                           const CacheLookup& found);
+  Status MaintainComponent(size_t comp, const CacheLookup& found);
 
   /// The current member relations of `component` as shareable cache
   /// members.
@@ -490,6 +570,11 @@ class SystemEvaluator : public RelationResolver {
   EvalOptions options_;
   Environment params_;
 
+  /// The program this evaluator runs: own_program_ unless one was
+  /// installed (InstallProgram).
+  SystemProgram own_program_;
+  SystemProgram* program_ = &own_program_;
+
   /// Magic-seed specialization (not owned; null when disabled) and the
   /// relevant-value closure computed at the start of MaterializeAll.
   const SpecializationPlan* plan_ = nullptr;
@@ -533,7 +618,8 @@ class SystemEvaluator : public RelationResolver {
   /// counters currently flow into (a component, round, or query node).
   std::unique_ptr<ProfileNode> profile_;
   ProfileNode* cur_ = nullptr;
-  Timer lifetime_;
+  /// Started with the profile: the root's wall time.
+  std::optional<Timer> lifetime_;
 };
 
 }  // namespace datacon

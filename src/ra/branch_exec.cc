@@ -111,12 +111,12 @@ const HashIndex& RequestIndex(const Relation& rel,
   return rel.IndexOn(columns);
 }
 
-/// Compiles a QuantProbe for every SOME quantifier in `pred`, nested ones
-/// included, whose range is a plain name resolving to a catalog relation
-/// variable and whose body has top-level key equalities on its variable.
-/// Each probed index is requested here, once per branch execution.
+/// Compiles a QuantProbeShape for every SOME quantifier in `pred`, nested
+/// ones included, whose range is a plain name resolving to a catalog
+/// relation variable and whose body has top-level key equalities on its
+/// variable.
 void CompileQuantProbes(const Pred& pred, const RelationResolver* resolver,
-                        QuantProbes* out, BranchExecStats* stats) {
+                        std::vector<QuantProbeShape>* out) {
   switch (pred.kind()) {
     case Pred::Kind::kBool:
     case Pred::Kind::kCompare:
@@ -124,21 +124,21 @@ void CompileQuantProbes(const Pred& pred, const RelationResolver* resolver,
       return;
     case Pred::Kind::kAnd:
       for (const PredPtr& op : static_cast<const AndPred&>(pred).operands()) {
-        CompileQuantProbes(*op, resolver, out, stats);
+        CompileQuantProbes(*op, resolver, out);
       }
       return;
     case Pred::Kind::kOr:
       for (const PredPtr& op : static_cast<const OrPred&>(pred).operands()) {
-        CompileQuantProbes(*op, resolver, out, stats);
+        CompileQuantProbes(*op, resolver, out);
       }
       return;
     case Pred::Kind::kNot:
       CompileQuantProbes(*static_cast<const NotPred&>(pred).operand(),
-                         resolver, out, stats);
+                         resolver, out);
       return;
     case Pred::Kind::kQuant: {
       const auto& p = static_cast<const QuantPred&>(pred);
-      CompileQuantProbes(*p.body(), resolver, out, stats);
+      CompileQuantProbes(*p.body(), resolver, out);
       // A plain name resolves to its catalog relation without evaluating
       // anything; any other range (or a failing resolution, which the
       // evaluation then reports) keeps the scan.
@@ -166,14 +166,12 @@ void CompileQuantProbes(const Pred& pred, const RelationResolver* resolver,
                        [](const auto& a, const auto& b) {
                          return a.first < b.first;
                        });
-      QuantProbe probe{rel.value(), nullptr, {}};
-      std::vector<int> columns;
+      QuantProbeShape shape{&p, rel.value(), {}, {}};
       for (auto& [column, term] : by_column) {
-        columns.push_back(column);
-        probe.keys.push_back(std::move(term));
+        shape.columns.push_back(column);
+        shape.keys.push_back(std::move(term));
       }
-      probe.index = &RequestIndex(*probe.relation, columns, p.var(), stats);
-      out->emplace(&p, std::move(probe));
+      out->push_back(std::move(shape));
       return;
     }
   }
@@ -293,11 +291,10 @@ struct BranchPipeline {
 
 }  // namespace
 
-Status ExecuteBranch(const Branch& branch,
-                     const std::vector<ResolvedBinding>& bindings,
-                     const Evaluator& eval, const Environment& base_env,
-                     Relation* out, BranchExecStats* stats,
-                     const BranchExecOptions& options) {
+Result<CompiledBranch> CompileBranch(const Branch& branch,
+                                     const std::vector<BindingSchema>& bindings,
+                                     const RelationResolver* resolver,
+                                     const BranchExecOptions& options) {
   const size_t n = bindings.size();
   if (n != branch.bindings().size()) {
     return Status::Internal("resolved bindings do not match branch arity");
@@ -307,15 +304,48 @@ Status ExecuteBranch(const Branch& branch,
         "a branch without a target list must bind exactly one variable: " +
         ToString(branch));
   }
+  CompiledBranch compiled;
+  DATACON_ASSIGN_OR_RETURN(compiled.levels,
+                           PlanBranchLevels(branch, bindings, options));
+  compiled.index_columns.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (const BranchLevelPlan::KeyEquality& k : compiled.levels[i].keys) {
+      compiled.index_columns[i].push_back(k.inner_field_index);
+    }
+  }
+  if (options.use_hash_joins) {
+    CompileQuantProbes(*branch.pred(), resolver, &compiled.quant_probes);
+  }
+  return compiled;
+}
 
+Status ExecuteBranch(const Branch& branch,
+                     const std::vector<ResolvedBinding>& bindings,
+                     const Evaluator& eval, const Environment& base_env,
+                     Relation* out, BranchExecStats* stats,
+                     const BranchExecOptions& options) {
   std::vector<BindingSchema> schemas;
-  schemas.reserve(n);
+  schemas.reserve(bindings.size());
   for (const ResolvedBinding& b : bindings) {
     schemas.push_back(BindingSchema{b.var, &b.relation->schema(),
                                     b.relation->is_catalog_variable()});
   }
-  DATACON_ASSIGN_OR_RETURN(std::vector<BranchLevelPlan> levels,
-                           PlanBranchLevels(branch, schemas, options));
+  DATACON_ASSIGN_OR_RETURN(
+      CompiledBranch compiled,
+      CompileBranch(branch, schemas, eval.resolver(), options));
+  return RunBranch(branch, compiled, bindings, eval, base_env, out, stats,
+                   options);
+}
+
+Status RunBranch(const Branch& branch, const CompiledBranch& compiled,
+                 const std::vector<ResolvedBinding>& bindings,
+                 const Evaluator& eval, const Environment& base_env,
+                 Relation* out, BranchExecStats* stats,
+                 const BranchExecOptions& options) {
+  const size_t n = bindings.size();
+  if (n != compiled.levels.size()) {
+    return Status::Internal("resolved bindings do not match branch arity");
+  }
 
   // The pipeline inserts into `out` while scanning and probing the bound
   // relations, so the output must not alias any of them: inserting into a
@@ -339,28 +369,29 @@ Status ExecuteBranch(const Branch& branch,
   BranchExecStats build_stats;
   std::vector<const HashIndex*> indexes(n, nullptr);
   for (size_t i = 0; i < n; ++i) {
-    if (levels[i].keys.empty()) continue;
-    std::vector<int> cols;
-    cols.reserve(levels[i].keys.size());
-    for (const BranchLevelPlan::KeyEquality& k : levels[i].keys) {
-      cols.push_back(k.inner_field_index);
-    }
-    indexes[i] = &RequestIndex(*bindings[i].relation, cols, bindings[i].var,
+    if (compiled.index_columns[i].empty()) continue;
+    indexes[i] = &RequestIndex(*bindings[i].relation,
+                               compiled.index_columns[i], bindings[i].var,
                                &build_stats);
     ++build_stats.index_builds;
   }
   QuantProbes probes;
-  if (options.use_hash_joins) {
-    CompileQuantProbes(*branch.pred(), eval.resolver(), &probes, &build_stats);
+  probes.reserve(compiled.quant_probes.size());
+  for (const QuantProbeShape& shape : compiled.quant_probes) {
+    probes.push_back(QuantProbe{
+        shape.quant, shape.relation,
+        &RequestIndex(*shape.relation, shape.columns, shape.quant->var(),
+                      &build_stats),
+        &shape.keys});
   }
   const Evaluator probing(eval.resolver(), eval.typed_proven(), &probes);
 
-  BranchPipeline pipeline{&branch, &bindings, &levels, &indexes, n};
+  BranchPipeline pipeline{&branch, &bindings, &compiled.levels, &indexes, n};
 
   // Level 0 is driven here: serially, or chunked across the pool when
   // there are enough candidates (a probe's hits, else the whole relation).
   const Relation& outer = *bindings[0].relation;
-  Environment env = base_env;
+  Environment env(&base_env);
   const BranchPipeline::Candidates outer_candidates =
       pipeline.CandidatesOf(0, probing, env, &build_stats);
   const std::vector<const Tuple*>* hits = outer_candidates.hits;
@@ -453,7 +484,7 @@ Status ExecuteBranch(const Branch& branch,
         chunk_span.AddArg("chunk", static_cast<int64_t>(c));
         chunk_span.AddArg("tuples", static_cast<int64_t>(end - begin));
       }
-      Environment env = base_env;
+      Environment env(&base_env);
       Relation* chunk_out = &chunk_outs[c];
       BranchExecStats* cs = &chunk_stats[c];
       Status status = Status::OK();
@@ -483,7 +514,7 @@ Status ExecuteBranch(const Branch& branch,
     any_failed = !chunk_status[c].ok();
   }
   if (any_failed) {
-    Environment env = base_env;
+    Environment env(&base_env);
     Relation scratch(out->schema());
     BranchExecStats discard;
     Status serial = Status::OK();

@@ -53,22 +53,65 @@ struct BranchExecStats {
   size_t chunks = 0;
 };
 
-/// Executes one constructive branch:
+/// The index access of one SOME quantifier as the compile step finds it
+/// (see QuantProbe): the quantifier, the catalog relation variable its
+/// plain range names (catalog relations outlive every compiled program),
+/// the probed columns in order, and the key term per column. The index
+/// itself is requested per execution: Clear, Subtract and assignment drop
+/// a relation's indexes.
+struct QuantProbeShape {
+  const QuantPred* quant;
+  const Relation* relation;
+  std::vector<int> columns;
+  std::vector<TermPtr> keys;
+};
+
+/// The compile step of one branch: its per-level plan (PlanBranchLevels),
+/// the index columns of every probing level, and the shapes of its
+/// quantifier probes. Holds no index and no pointer to a relation built for
+/// one execution, so it stays valid across executions over the same
+/// binding schemas; RunBranch only reads it (fan-out workers share it).
+struct CompiledBranch {
+  std::vector<BranchLevelPlan> levels;
+  /// Per level: the probed columns (the keys' inner fields, in column
+  /// order), empty for a scanning level.
+  std::vector<std::vector<int>> index_columns;
+  std::vector<QuantProbeShape> quant_probes;
+};
+
+/// Compiles one constructive branch over bindings of the given schemas:
 ///
 ///   [<targets> OF] EACH v1 IN R1, ..., EACH vn IN Rn : pred
 ///
-/// as a left-deep pipeline of scans and hash joins. Top-level equi-join
-/// conjuncts (`vi.f = <expr over earlier variables>`) become probes of the
-/// bound relation's own index (Relation::IndexOn), and so does level 0 over
-/// a catalog relation variable with a `v1.f = <literal or parameter>`
-/// conjunct; a SOME quantifier over a catalog relation variable with
-/// `v.f = <term free of v>` in its body probes too (QuantProbe). Every
-/// other conjunct is evaluated as a filter at the earliest level where its
-/// variables are bound. Result tuples are appended to `out` with set
-/// semantics (and key enforcement, if `out` declares a key).
+/// becomes a left-deep pipeline of scans and hash joins. Top-level
+/// equi-join conjuncts (`vi.f = <expr over earlier variables>`) become
+/// probes of the bound relation's own index (Relation::IndexOn), and so
+/// does level 0 over a catalog relation variable with a
+/// `v1.f = <literal or parameter>` conjunct; a SOME quantifier whose range
+/// `resolver` resolves to a catalog relation variable, with
+/// `v.f = <term free of v>` in its body, probes too (QuantProbeShape).
+/// Every other conjunct is evaluated as a filter at the earliest level
+/// where its variables are bound.
+Result<CompiledBranch> CompileBranch(const Branch& branch,
+                                     const std::vector<BindingSchema>& bindings,
+                                     const RelationResolver* resolver,
+                                     const BranchExecOptions& options = {});
+
+/// The run step: executes `compiled` (CompileBranch over these bindings'
+/// schemas) with the given relations bound. Every index the plan probes is
+/// requested from its relation here, on the calling thread. Result tuples
+/// are appended to `out` with set semantics (and key enforcement, if `out`
+/// declares a key).
 ///
 /// `eval` carries the resolver used for quantifier/membership ranges inside
 /// the predicate; `base_env` carries scalar parameter bindings.
+Status RunBranch(const Branch& branch, const CompiledBranch& compiled,
+                 const std::vector<ResolvedBinding>& bindings,
+                 const Evaluator& eval, const Environment& base_env,
+                 Relation* out, BranchExecStats* stats = nullptr,
+                 const BranchExecOptions& options = {});
+
+/// Compiles and runs one branch once (CompileBranch, then RunBranch).
 Status ExecuteBranch(const Branch& branch,
                      const std::vector<ResolvedBinding>& bindings,
                      const Evaluator& eval, const Environment& base_env,

@@ -17,6 +17,11 @@ namespace datacon {
 /// Tuples are referenced, not copied — bindings are valid only while the
 /// underlying storage is alive and unmodified, which the executors
 /// guarantee by construction.
+///
+/// An environment may extend an enclosing one (its parent): lookups it
+/// cannot answer go to the parent, and its own bindings shadow the
+/// parent's. Extending is O(1) where a copy would duplicate every binding;
+/// the parent must outlive the extension and stay unchanged meanwhile.
 class Environment {
  public:
   struct TupleBinding {
@@ -24,18 +29,23 @@ class Environment {
     const Schema* schema;
   };
 
+  Environment() = default;
+  /// An empty environment extending `parent` (may be null).
+  explicit Environment(const Environment* parent) : parent_(parent) {}
+
   /// Binds tuple variable `var`; rebinding shadows the previous binding.
   void Bind(const std::string& var, const Tuple* tuple, const Schema* schema) {
     tuples_[var] = TupleBinding{tuple, schema};
   }
 
-  /// Removes the binding of `var` (no-op if absent).
+  /// Removes this environment's own binding of `var` (no-op if absent).
   void Unbind(const std::string& var) { tuples_.erase(var); }
 
   /// The binding of `var`, or nullptr when unbound.
   const TupleBinding* Lookup(const std::string& var) const {
     auto it = tuples_.find(var);
-    return it == tuples_.end() ? nullptr : &it->second;
+    if (it != tuples_.end()) return &it->second;
+    return parent_ != nullptr ? parent_->Lookup(var) : nullptr;
   }
 
   /// Binds scalar parameter `name` to `value`.
@@ -43,18 +53,28 @@ class Environment {
     params_[name] = std::move(value);
   }
 
+  /// The value cell of parameter `name`, binding it to a default Value
+  /// first when unbound. A caller rebinding the same parameters many times
+  /// keeps the pointers and assigns through them; they stay valid as long
+  /// as the environment, moves included (never across a copy).
+  Value* ParamSlot(const std::string& name) { return &params_[name]; }
+
   /// The value of parameter `name`, or nullptr when unbound.
   const Value* LookupParam(const std::string& name) const {
     auto it = params_.find(name);
-    return it == params_.end() ? nullptr : &it->second;
+    if (it != params_.end()) return &it->second;
+    return parent_ != nullptr ? parent_->LookupParam(name) : nullptr;
   }
 
   /// Whether any scalar parameter is bound. Parameterized evaluations are
   /// excluded from the materialization cache — parameter values change
   /// results without appearing in the cache key.
-  bool HasParams() const { return !params_.empty(); }
+  bool HasParams() const {
+    return !params_.empty() || (parent_ != nullptr && parent_->HasParams());
+  }
 
  private:
+  const Environment* parent_ = nullptr;
   std::unordered_map<std::string, TupleBinding> tuples_;
   std::unordered_map<std::string, Value> params_;
 };

@@ -139,7 +139,7 @@ Result<bool> Evaluator::EvalPredImpl(const Pred& pred,
           // SOME over the tuples matching the key: the others make the
           // body's key equalities false.
           const Schema* schema = &probe->relation->schema();
-          Environment inner = env;
+          Environment inner(&env);
           for (const Tuple* t : probe->index->Probe(*key)) {
             inner.Bind(p.var(), t, schema);
             DATACON_ASSIGN_OR_RETURN(bool v,
@@ -157,7 +157,7 @@ Result<bool> Evaluator::EvalPredImpl(const Pred& pred,
                                resolver_->Resolve(*p.range()));
       // SOME: exists an element making the body true.
       // ALL: every element makes the body true (vacuously true when empty).
-      Environment inner = env;
+      Environment inner(&env);
       for (const Tuple& t : rel->tuples()) {
         inner.Bind(p.var(), &t, &rel->schema());
         DATACON_ASSIGN_OR_RETURN(bool v, EvalPredImpl<Proven>(*p.body(), inner));
@@ -191,9 +191,10 @@ std::optional<Tuple> Evaluator::ProbeKey(const QuantProbe& probe,
                                          const Environment& env) const {
   const std::vector<int>& columns = probe.index->columns();
   std::vector<Value> values;
-  values.reserve(probe.keys.size());
-  for (size_t i = 0; i < probe.keys.size(); ++i) {
-    Result<Value> v = EvalTermImpl<Proven>(*probe.keys[i], env);
+  const std::vector<TermPtr>& keys = *probe.keys;
+  values.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    Result<Value> v = EvalTermImpl<Proven>(*keys[i], env);
     if (!v.ok()) return std::nullopt;
     if constexpr (!Proven) {
       if (v->type() != probe.relation->schema().field(columns[i]).type) {

@@ -1,7 +1,6 @@
 #ifndef DATACON_RA_EVAL_H_
 #define DATACON_RA_EVAL_H_
 
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -14,20 +13,23 @@
 
 namespace datacon {
 
-/// The index access of one `SOME v IN R: body` quantifier (DESIGN §4.7),
-/// compiled once per branch execution: `R` is a catalog relation variable
-/// and `body` has top-level conjuncts `v.f = t` with `t` free of `v`. The
-/// evaluator probes `index` (R's own, on those fields) with the values of
-/// `keys` and evaluates the body on the matching tuples only.
+/// The index access of one `SOME v IN R: body` quantifier (DESIGN §4.7):
+/// `R` is a catalog relation variable and `body` has top-level conjuncts
+/// `v.f = t` with `t` free of `v`. The evaluator probes `index` (R's own,
+/// on those fields) with the values of `keys` and evaluates the body on the
+/// matching tuples only. The branch executor compiles the shape once
+/// (ra/branch_exec.h CompiledBranch) and requests `index` per execution.
 struct QuantProbe {
+  const QuantPred* quant;
   const Relation* relation;
   const HashIndex* index;
-  /// Aligned with index->columns().
-  std::vector<TermPtr> keys;
+  /// Aligned with index->columns(); owned by the compiled branch.
+  const std::vector<TermPtr>* keys;
 };
 
-/// The compiled probes of a predicate's quantifiers, by AST node.
-using QuantProbes = std::map<const QuantPred*, QuantProbe>;
+/// The probes of a predicate's quantifiers (a handful at most, so a flat
+/// list searched by AST node).
+using QuantProbes = std::vector<QuantProbe>;
 
 /// Tree-walking evaluator for terms and predicates over an Environment.
 ///
@@ -81,8 +83,10 @@ class Evaluator {
   /// The compiled probe of `quant`, or null when it scans.
   const QuantProbe* FindProbe(const QuantPred& quant) const {
     if (probes_ == nullptr) return nullptr;
-    auto it = probes_->find(&quant);
-    return it == probes_->end() ? nullptr : &it->second;
+    for (const QuantProbe& probe : *probes_) {
+      if (probe.quant == &quant) return &probe;
+    }
+    return nullptr;
   }
   /// The probe key of `probe` under `env`, or nullopt when the quantifier
   /// must scan instead: a key fails to evaluate, or (checked walk) a key

@@ -23,8 +23,8 @@ Relation::Relation(const Relation& other)
       key_positions_(other.key_positions_),
       generation_(other.generation_),
       log_inserts_(other.log_inserts_),
-      log_base_(other.log_base_),
-      insert_log_(other.insert_log_) {}
+      // The source's log points into its own tuples: restart ours.
+      log_base_(other.generation_) {}
 
 Relation::Relation(Relation&& other) noexcept
     : schema_(std::move(other.schema_)),
@@ -92,9 +92,13 @@ std::optional<std::vector<Tuple>> Relation::InsertedSince(
   if (!log_inserts_ || since > generation_ || since < log_base_) {
     return std::nullopt;
   }
-  return std::vector<Tuple>(
-      insert_log_.begin() + static_cast<ptrdiff_t>(since - log_base_),
-      insert_log_.end());
+  std::vector<Tuple> out;
+  out.reserve(static_cast<size_t>(generation_ - since));
+  for (size_t i = static_cast<size_t>(since - log_base_);
+       i < insert_log_.size(); ++i) {
+    out.push_back(*insert_log_[i]);
+  }
+  return out;
 }
 
 Status Relation::ValidateTuple(const Tuple& t) const {
@@ -167,7 +171,7 @@ Result<bool> Relation::InsertValidated(T&& t) {
     insert_log_.clear();
     log_base_ = generation_;
   } else {
-    insert_log_.push_back(*stored);
+    insert_log_.push_back(stored);
   }
   return true;
 }

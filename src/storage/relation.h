@@ -46,11 +46,12 @@ class Relation {
   /// An empty relation over `schema`.
   explicit Relation(Schema schema, InsertLog log = InsertLog::kOff);
 
-  /// A copy starts without indexes: it never shares the source's (they
-  /// point into the source's tuple set).
+  /// A copy starts without indexes and with an empty insert log at its own
+  /// generation: it never shares the source's (both point into the
+  /// source's tuple set).
   Relation(const Relation& other);
-  /// A move takes the source's indexes along — the stored tuples they
-  /// point at move with the set, so they stay valid.
+  /// A move takes the source's indexes and insert log along — the stored
+  /// tuples they point at move with the set, so they stay valid.
   Relation(Relation&& other) noexcept;
   ~Relation();
 
@@ -195,11 +196,14 @@ class Relation {
 
   uint64_t generation_ = 0;
   bool log_inserts_ = false;
-  /// Tuples for generations log_base_+1 .. log_base_+insert_log_.size(), in
-  /// order; insert-only histories keep log_base_ + insert_log_.size() ==
-  /// generation_.
+  /// The stored tuples of generations log_base_+1 ..
+  /// log_base_+insert_log_.size(), in order; insert-only histories keep
+  /// log_base_ + insert_log_.size() == generation_. Pointers into the
+  /// node-based tuples_ survive rehashing, and every change that removes a
+  /// tuple (Erase, Clear, Subtract, assignment) restarts the log, so none
+  /// dangles.
   uint64_t log_base_ = 0;
-  std::vector<Tuple> insert_log_;
+  std::vector<const Tuple*> insert_log_;
 
   /// The indexes requested of this relation, by column list (IndexOn).
   /// Mutable: building one on a const relation changes no tuple.

@@ -10,7 +10,8 @@
 //
 // and all results must agree tuple-for-tuple. A second check runs bound,
 // joined and quantified queries over each system with index probes on and
-// off, serial and fanned out. This is the strongest check
+// off, serial and fanned out; a third reuses prepared forms across many
+// executions and an insert against ad-hoc queries. This is the strongest check
 // in the suite: any soundness or completeness bug in instantiation,
 // differential evaluation, translation, or tabling shows up as a mismatch.
 
@@ -196,6 +197,62 @@ TEST_P(RandomProgramTest, ProbesAgreeWithScans) {
             << (hash ? "probes" : "scans") << " threads=" << threads
             << " (seed " << GetParam() << ")";
       }
+    }
+  }
+}
+
+TEST_P(RandomProgramTest, PreparedProgramsAgreeAcrossReuse) {
+  // One prepared form per constructor, executed over every start node, in
+  // two rounds with an insert between them: each execution answers like
+  // the ad-hoc query with the start as a literal, and each form's program
+  // is compiled once (data changes never invalidate it).
+  const int k = 2;
+  workload::EdgeList g = workload::RandomDigraph(5, 7, GetParam() * 31 + 7);
+  for (FixpointStrategy strategy :
+       {FixpointStrategy::kSemiNaive, FixpointStrategy::kNaive}) {
+    for (bool capture : {false, true}) {
+      std::mt19937_64 fresh(static_cast<uint64_t>(GetParam()));
+      DatabaseOptions options;
+      options.eval.strategy = strategy;
+      options.use_capture_rules = capture;
+      Database db(options);
+      ASSERT_TRUE(DefineRandomSystem(&db, k, &fresh).ok());
+      ASSERT_TRUE(workload::LoadEdges(&db, "E", g).ok());
+      auto form = [](int target, TermPtr start) {
+        return Union({IdentityBranch(
+            "v", Constructed(Rel("E"), std::string("c").append(
+                                           std::to_string(target))),
+            Eq(FieldRef("v", "src"), std::move(start)))});
+      };
+      std::vector<PreparedQuery> prepared;
+      for (int target = 0; target < k; ++target) {
+        Result<PreparedQuery> p = db.Prepare(form(target, Param("start")),
+                                             {{"start", ValueType::kInt}});
+        ASSERT_TRUE(p.ok()) << p.status().ToString();
+        prepared.push_back(std::move(p).value());
+      }
+      Counter* compilations =
+          db.metrics().GetCounter("prepared.compilations");
+      const int64_t before = compilations->value();
+      for (int round = 0; round < 2; ++round) {
+        for (int start = 0; start < 5; ++start) {
+          for (int target = 0; target < k; ++target) {
+            Result<Relation> got =
+                prepared[static_cast<size_t>(target)].Execute(
+                    {{"start", Value::Int(start)}});
+            Result<Relation> want = db.EvalQuery(form(target, Int(start)));
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            ASSERT_TRUE(want.ok()) << want.status().ToString();
+            EXPECT_TRUE(got->SameTuples(*want))
+                << "c" << target << " from " << start << " round " << round
+                << " capture=" << capture << " (seed " << GetParam() << ")";
+          }
+        }
+        ASSERT_TRUE(
+            db.Insert("E", Tuple({Value::Int(round), Value::Int(4 - round)}))
+                .ok());
+      }
+      EXPECT_EQ(compilations->value() - before, k);
     }
   }
 }

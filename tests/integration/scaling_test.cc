@@ -109,6 +109,20 @@ TEST(Scaling, ConstrainedInsertWorkIsIndependentOfRelationSize) {
             first[1]["physical_index_builds"]);
 }
 
+TEST(Scaling, ConstrainedInsertsCompileEachResidueOnce) {
+  // A residue's program is compiled on its first execution and reused by
+  // every later one: 200 inserts compile the five residues once each.
+  std::unique_ptr<Database> db = ConstrainedForest(1000);
+  Counter* compilations = db->metrics().GetCounter("prepared.compilations");
+  const int64_t before = compilations->value();
+  const int64_t evaluations = db->last_eval_index();
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_TRUE(db->Insert("Uses", Pair(i % 500, 1001 + i)).ok());
+  }
+  EXPECT_EQ(db->last_eval_index() - evaluations, 200 * 5);
+  EXPECT_EQ(compilations->value() - before, 5);
+}
+
 /// `chains` disjoint 8-edge chains; chain c covers nodes 9c .. 9c+8.
 std::unique_ptr<Database> Chains(int chains) {
   DatabaseOptions options;

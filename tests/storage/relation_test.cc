@@ -278,6 +278,79 @@ TEST(Relation, InsertLogOverflowDegradesGracefully) {
   EXPECT_EQ(delta->size(), 1u);
 }
 
+TEST(Relation, CopyRestartsInsertLogAtItsOwnGeneration) {
+  Relation r(SetSchema(), Relation::InsertLog::kOn);
+  ASSERT_TRUE(r.Insert(Tuple({Value::Int(1), Value::Int(2)})).ok());
+  const uint64_t mark = r.generation();
+  ASSERT_TRUE(r.Insert(Tuple({Value::Int(3), Value::Int(4)})).ok());
+
+  Relation copy(r);
+  EXPECT_EQ(copy.generation(), r.generation());
+  // The source's log points into the source's tuples: the copy replays
+  // nothing before its own generation...
+  EXPECT_FALSE(copy.InsertedSince(mark).has_value());
+  // ...but logs what it inserts from there on.
+  const uint64_t copied = copy.generation();
+  ASSERT_TRUE(copy.Insert(Tuple({Value::Int(5), Value::Int(6)})).ok());
+  std::optional<std::vector<Tuple>> delta = copy.InsertedSince(copied);
+  ASSERT_TRUE(delta.has_value());
+  ASSERT_EQ(delta->size(), 1u);
+  EXPECT_EQ((*delta)[0], Tuple({Value::Int(5), Value::Int(6)}));
+  // The source still replays its own history.
+  std::optional<std::vector<Tuple>> source = r.InsertedSince(mark);
+  ASSERT_TRUE(source.has_value());
+  ASSERT_EQ(source->size(), 1u);
+  EXPECT_EQ((*source)[0], Tuple({Value::Int(3), Value::Int(4)}));
+}
+
+TEST(Relation, MoveKeepsInsertLog) {
+  Relation r(SetSchema(), Relation::InsertLog::kOn);
+  ASSERT_TRUE(r.Insert(Tuple({Value::Int(1), Value::Int(2)})).ok());
+  const uint64_t mark = r.generation();
+  ASSERT_TRUE(r.Insert(Tuple({Value::Int(3), Value::Int(4)})).ok());
+  ASSERT_TRUE(r.Insert(Tuple({Value::Int(5), Value::Int(6)})).ok());
+
+  Relation moved(std::move(r));
+  std::optional<std::vector<Tuple>> delta = moved.InsertedSince(mark);
+  ASSERT_TRUE(delta.has_value());
+  ASSERT_EQ(delta->size(), 2u);
+  EXPECT_EQ((*delta)[0], Tuple({Value::Int(3), Value::Int(4)}));
+  EXPECT_EQ((*delta)[1], Tuple({Value::Int(5), Value::Int(6)}));
+}
+
+TEST(Relation, InsertedSinceSurvivesRehash) {
+  // The log points at stored tuples; growing the set through many rehashes
+  // must leave every logged tuple readable, in insertion order.
+  Relation r(SetSchema(), Relation::InsertLog::kOn);
+  ASSERT_TRUE(r.Insert(Tuple({Value::Int(-1), Value::Int(0)})).ok());
+  const uint64_t mark = r.generation();
+  constexpr int kInserts = 10000;
+  for (int i = 0; i < kInserts; ++i) {
+    ASSERT_TRUE(r.Insert(Tuple({Value::Int(i), Value::Int(2 * i)})).ok());
+  }
+  std::optional<std::vector<Tuple>> delta = r.InsertedSince(mark);
+  ASSERT_TRUE(delta.has_value());
+  ASSERT_EQ(delta->size(), static_cast<size_t>(kInserts));
+  for (int i = 0; i < kInserts; ++i) {
+    ASSERT_EQ((*delta)[static_cast<size_t>(i)],
+              Tuple({Value::Int(i), Value::Int(2 * i)}));
+  }
+}
+
+TEST(Relation, KeyViolatingInsertIsNotLogged) {
+  Relation r(KeyedSchema(), Relation::InsertLog::kOn);
+  ASSERT_TRUE(r.Insert(Tuple({Value::String("a"), Value::Int(1)})).ok());
+  const uint64_t mark = r.generation();
+  EXPECT_EQ(
+      r.Insert(Tuple({Value::String("a"), Value::Int(2)})).status().code(),
+      StatusCode::kKeyViolation);
+  ASSERT_TRUE(r.Insert(Tuple({Value::String("b"), Value::Int(3)})).ok());
+  std::optional<std::vector<Tuple>> delta = r.InsertedSince(mark);
+  ASSERT_TRUE(delta.has_value());
+  ASSERT_EQ(delta->size(), 1u);
+  EXPECT_EQ((*delta)[0], Tuple({Value::String("b"), Value::Int(3)}));
+}
+
 TEST(Relation, DefaultRelationKeepsNoInsertLog) {
   // Engine-owned relations (scratch, deltas, totals, results) do not log:
   // an older generation is unanswerable, the current one is exact.
