@@ -109,9 +109,9 @@ cmake --build build-tsan -j --target \
   core_observability_test common_metrics_test core_matcache_test \
   integration_cache_semantics_test common_eventlog_test \
   integration_probe_semantics_test storage_index_test \
-  integration_prepared_program_test
+  integration_prepared_program_test core_database_test
 
-echo "== tsan: parallel + cache + telemetry + index probe + program tests =="
+echo "== tsan: parallel + cache + telemetry + index probe + program + pool tests =="
 ./build-tsan/tests/common_thread_pool_test
 ./build-tsan/tests/common_trace_test
 ./build-tsan/tests/core_fixpoint_parallel_test
@@ -123,5 +123,8 @@ echo "== tsan: parallel + cache + telemetry + index probe + program tests =="
 ./build-tsan/tests/integration_probe_semantics_test
 ./build-tsan/tests/storage_index_test
 ./build-tsan/tests/integration_prepared_program_test
+# One database's evaluations share its worker pool.
+./build-tsan/tests/core_database_test \
+  --gtest_filter=Database.EvaluationsShareOneWorkerPool
 
 echo "All checks passed."

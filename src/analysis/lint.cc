@@ -127,38 +127,6 @@ bool RangeMentionsCtor(const Range& range, const std::set<std::string>& names) {
   return found;
 }
 
-/// Every range occurring in a predicate (quantifier and membership ranges).
-void ForEachPredRange(const Pred& pred,
-                      const std::function<void(const Range&)>& fn) {
-  switch (pred.kind()) {
-    case Pred::Kind::kBool:
-    case Pred::Kind::kCompare:
-      break;
-    case Pred::Kind::kAnd:
-      for (const PredPtr& op : static_cast<const AndPred&>(pred).operands()) {
-        ForEachPredRange(*op, fn);
-      }
-      break;
-    case Pred::Kind::kOr:
-      for (const PredPtr& op : static_cast<const OrPred&>(pred).operands()) {
-        ForEachPredRange(*op, fn);
-      }
-      break;
-    case Pred::Kind::kNot:
-      ForEachPredRange(*static_cast<const NotPred&>(pred).operand(), fn);
-      break;
-    case Pred::Kind::kQuant: {
-      const auto& quant = static_cast<const QuantPred&>(pred);
-      fn(*quant.range());
-      ForEachPredRange(*quant.body(), fn);
-      break;
-    }
-    case Pred::Kind::kIn:
-      fn(*static_cast<const InPred&>(pred).range());
-      break;
-  }
-}
-
 // --- Name resolution -------------------------------------------------------
 
 /// Resolution context of one declaration body: the catalog plus the formal
@@ -440,9 +408,8 @@ void LintDuplicateBranches(const CalcExpr& body,
 std::set<std::string> ReferencedCtors(const ConstructorDecl& decl) {
   std::set<std::string> out;
   for (const BranchPtr& branch : decl.body()->branches()) {
-    for (const Binding& b : branch->bindings()) CollectCtorNames(*b.range, &out);
-    ForEachPredRange(*branch->pred(),
-                     [&](const Range& r) { CollectCtorNames(r, &out); });
+    ForEachRangeWithParity(
+        *branch, [&](const Range& r, int) { CollectCtorNames(r, &out); });
   }
   return out;
 }
@@ -487,7 +454,7 @@ void ClassifyRecursion(
           if (RangeMentionsCtor(*b.range, in_component)) ++recursive_bindings;
         }
         bool recursive_pred = false;
-        ForEachPredRange(*branch->pred(), [&](const Range& r) {
+        ForEachRangeWithParity(*branch->pred(), 0, [&](const Range& r, int) {
           if (RangeMentionsCtor(r, in_component)) recursive_pred = true;
         });
         if (recursive_pred) {
@@ -668,14 +635,12 @@ std::vector<Diagnostic> LintConstructorGroup(
           CollectParamRefs(*t, &used_params);
         }
       }
-      auto note_relations = [&](const Range& r) {
+      ForEachRangeWithParity(*branch, [&](const Range& r, int) {
         ForEachRangeDeep(r, [&](const Range& inner) {
           used_relations.insert(inner.relation());
         });
         CollectParamRefs(r, &used_params);
-      };
-      for (const Binding& b : branch->bindings()) note_relations(*b.range);
-      ForEachPredRange(*branch->pred(), note_relations);
+      });
     }
     for (const FormalScalar& p : decl->scalar_params()) {
       if (used_params.count(p.name) == 0) {

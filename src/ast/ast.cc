@@ -1,9 +1,11 @@
 #include <memory>
 
+#include "ast/branch.h"
 #include "ast/builder.h"
 #include "ast/pred.h"
 #include "ast/range.h"
 #include "ast/term.h"
+#include "common/check.h"
 
 namespace datacon {
 
@@ -78,4 +80,49 @@ RangePtr Constructed(const RangePtr& base, std::string name,
 }
 
 }  // namespace build
+
+void ForEachRangeWithParity(
+    const Pred& pred, int parity,
+    const std::function<void(const Range&, int parity)>& fn) {
+  switch (pred.kind()) {
+    case Pred::Kind::kBool:
+    case Pred::Kind::kCompare:
+      return;
+    case Pred::Kind::kAnd:
+      for (const PredPtr& op : static_cast<const AndPred&>(pred).operands()) {
+        ForEachRangeWithParity(*op, parity, fn);
+      }
+      return;
+    case Pred::Kind::kOr:
+      for (const PredPtr& op : static_cast<const OrPred&>(pred).operands()) {
+        ForEachRangeWithParity(*op, parity, fn);
+      }
+      return;
+    case Pred::Kind::kNot:
+      // Everything inside the negated factor is under one more NOT.
+      ForEachRangeWithParity(*static_cast<const NotPred&>(pred).operand(),
+                             parity + 1, fn);
+      return;
+    case Pred::Kind::kQuant: {
+      const auto& p = static_cast<const QuantPred&>(pred);
+      // Only a universal quantifier's *range* counts as "under" it
+      // (section 3.3); SOME ranges and both bodies keep the current parity.
+      fn(*p.range(), p.quantifier() == Quantifier::kAll ? parity + 1 : parity);
+      ForEachRangeWithParity(*p.body(), parity, fn);
+      return;
+    }
+    case Pred::Kind::kIn:
+      fn(*static_cast<const InPred&>(pred).range(), parity);
+      return;
+  }
+  DATACON_UNREACHABLE("pred kind");
+}
+
+void ForEachRangeWithParity(
+    const Branch& branch,
+    const std::function<void(const Range&, int parity)>& fn) {
+  for (const Binding& b : branch.bindings()) fn(*b.range, 0);
+  ForEachRangeWithParity(*branch.pred(), 0, fn);
+}
+
 }  // namespace datacon

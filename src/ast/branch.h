@@ -1,6 +1,7 @@
 #ifndef DATACON_AST_BRANCH_H_
 #define DATACON_AST_BRANCH_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -79,6 +80,29 @@ class CalcExpr {
  private:
   std::vector<BranchPtr> branches_;
 };
+
+/// Invokes `fn(range, parity)` for every range expression occurring in the
+/// branch — binding ranges, quantifier ranges, and membership ranges —
+/// where `parity` is the total number of enclosing NOTs and ALLs, counted
+/// exactly as defined in section 3.3 of the paper:
+///
+///  * everything inside `NOT f` is under that NOT;
+///  * the *range* of `ALL v IN exp (p)` is under that ALL, but names
+///    occurring only in the body `p` are not;
+///  * branch binding ranges are at parity 0.
+///
+/// Constructor arguments nested inside a range share the range's parity
+/// (`fn` receives the outermost range; use Range::ContainsConstructor to
+/// inspect nesting). The one walker over the predicate kinds' ranges.
+void ForEachRangeWithParity(
+    const Branch& branch,
+    const std::function<void(const Range&, int parity)>& fn);
+
+/// Same traversal over a bare predicate (its quantifier and membership
+/// ranges), starting at `initial_parity`.
+void ForEachRangeWithParity(
+    const Pred& pred, int initial_parity,
+    const std::function<void(const Range&, int parity)>& fn);
 
 }  // namespace datacon
 

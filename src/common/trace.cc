@@ -245,8 +245,10 @@ std::string TraceRecorder::ToText() const {
       out.append(2 * (open_ends.size() + 1), ' ');
       out += event.name;
       for (const TraceArg& arg : event.args) {
-        out += "  " + arg.key + "=" +
-               (arg.is_int ? std::to_string(arg.int_value) : arg.str_value);
+        out += "  ";
+        out += arg.key;
+        out += '=';
+        out += arg.is_int ? std::to_string(arg.int_value) : arg.str_value;
       }
       if (event.phase == TraceEvent::Phase::kComplete) {
         out += "  (" + FormatDurationNs(event.dur_ns) + ")";

@@ -17,22 +17,24 @@ namespace datacon {
 
 /// One key/value argument attached to a trace event. Values are either
 /// integers or strings (the two shapes the instrumentation needs); the
-/// Chrome serialization emits integers unquoted.
+/// Chrome serialization emits integers unquoted. The key points to static
+/// storage (a literal or a kQueryFields key), so attaching an argument
+/// copies no string.
 struct TraceArg {
-  std::string key;
+  const char* key = "";
   bool is_int = true;
   int64_t int_value = 0;
   std::string str_value;
 
-  static TraceArg Int(std::string key, int64_t value) {
+  static TraceArg Int(const char* key, int64_t value) {
     TraceArg a;
-    a.key = std::move(key);
+    a.key = key;
     a.int_value = value;
     return a;
   }
-  static TraceArg Str(std::string key, std::string value) {
+  static TraceArg Str(const char* key, std::string value) {
     TraceArg a;
-    a.key = std::move(key);
+    a.key = key;
     a.is_int = false;
     a.str_value = std::move(value);
     return a;
@@ -173,10 +175,13 @@ class TraceRecorder {
 ///   if (span.active()) span.AddArg("delta", delta_size);
 class TraceSpan {
  public:
-  explicit TraceSpan(std::string_view name)
+  /// `expected_args` sizes the argument vector once, so a span that
+  /// attaches that many arguments grows it by no further allocation.
+  explicit TraceSpan(std::string_view name, size_t expected_args = 4)
       : active_(TraceRecorder::Enabled()) {
     if (active_) {
       name_ = name;
+      args_.reserve(expected_args);
       start_ns_ = TraceRecorder::Global().NowNs();
     }
   }
@@ -201,13 +206,12 @@ class TraceSpan {
     if (active_ && end_ns_ < 0) end_ns_ = TraceRecorder::Global().NowNs();
   }
 
-  void AddArg(std::string key, int64_t value) {
-    if (active_) args_.push_back(TraceArg::Int(std::move(key), value));
+  /// `key` must point to static storage (see TraceArg).
+  void AddArg(const char* key, int64_t value) {
+    if (active_) args_.push_back(TraceArg::Int(key, value));
   }
-  void AddArg(std::string key, std::string value) {
-    if (active_) {
-      args_.push_back(TraceArg::Str(std::move(key), std::move(value)));
-    }
+  void AddArg(const char* key, std::string value) {
+    if (active_) args_.push_back(TraceArg::Str(key, std::move(value)));
   }
 
  private:

@@ -1,6 +1,7 @@
 #include "core/database.h"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 
 #include "analysis/adorn.h"
@@ -9,7 +10,6 @@
 #include "ast/printer.h"
 #include "common/check.h"
 #include "common/trace.h"
-#include "core/capture.h"
 #include "core/positivity.h"
 #include "core/quant_graph.h"
 #include "core/semantics.h"
@@ -138,8 +138,7 @@ Status Database::AssignThroughSelector(const std::string& relation,
     }
     env.BindParam(sel->params()[i].name, args[i]);
   }
-  EvalOptions eval_options = options_.eval;
-  eval_options.typed_proven = TypedProven();
+  const EvalOptions eval_options = EvalOptionsNow();
   SystemEvaluator ev(&catalog_, &graph, eval_options, env);
   DATACON_RETURN_IF_ERROR(ev.MaterializeAll());
   Evaluator eval(&ev, eval_options.typed_proven);
@@ -569,7 +568,7 @@ Result<Relation> Database::ObservedEvaluation(const CalcExpr& expr,
                                               const std::string* plan,
                                               Run run) {
   BeginEvaluation(plan);
-  TraceSpan span("evaluate");
+  TraceSpan span("evaluate", std::size(kQueryFields) + 3);
   if (span.active()) {
     span.AddArg("eval_index", last_record_.eval_index);
     if (plan != nullptr) span.AddArg("plan", *plan);
@@ -661,11 +660,11 @@ Status Database::CompileProgram(QueryProgram* program, bool for_explain) const {
   DATACON_RETURN_IF_ERROR(graph.AddRoots(expr));
   if (const std::optional<SeededTcPlan>& seeded = program->plan.seeded) {
     // DetectSeededTc leaves the closure's node the graph's only one.
-    const Range& closure_range = *expr.branches()[seeded->branch_index]
-                                      ->bindings()[seeded->binding_index]
-                                      .range;
-    Result<int> node = graph.FindNode(closure_range);
-    program->seeded_node = node.ok() ? node.value() : -1;
+    DATACON_ASSIGN_OR_RETURN(
+        program->seeded_node,
+        graph.FindNode(*expr.branches()[seeded->branch_index]
+                            ->bindings()[seeded->binding_index]
+                            .range));
   } else if (options_.specialize || for_explain) {
     TraceSpan plan_span("plan specialize");
     DATACON_ASSIGN_OR_RETURN(program->adornment,
@@ -683,100 +682,59 @@ Result<Relation> Database::RunProgram(QueryProgram* program,
                                       const Environment& params,
                                       bool allow_cache) {
   if (!program->compiled) DATACON_RETURN_IF_ERROR(CompileProgram(program));
-  return program->plan.seeded.has_value()
-             ? ExecuteSeeded(program, schema, params)
-             : EvaluateGeneral(program, schema, params, allow_cache);
-}
-
-Result<Relation> Database::ExecuteSeeded(QueryProgram* program,
-                                         const Schema& schema,
-                                         const Environment& params) {
-  // Constant propagation into the recursive constructor: reachability from
-  // the bound constant only, never the full closure. The closure becomes
-  // its application node's relation; DetectSeededTc leaves that node the
-  // graph's only one, so MaterializeAll has nothing left to evaluate.
-  TraceSpan span("seeded closure");
-  const CalcExpr& expr = *program->plan.expr;
-  const SeededTcPlan& plan = *program->plan.seeded;
-  EvalOptions eval_options = options_.eval;
-  eval_options.typed_proven = TypedProven();
-  SystemEvaluator ev(&catalog_, &*program->graph, eval_options,
-                     Environment(&params));
-  ev.InstallProgram(&program->system);
-  ev.InstallEventLog(&event_log_);
-  Result<Relation> result = [&]() -> Result<Relation> {
-    DATACON_ASSIGN_OR_RETURN(const Relation* edges,
-                             ev.Resolve(*plan.edges_range));
-    Value seed;
-    if (plan.seed_literal.has_value()) {
-      seed = *plan.seed_literal;
-    } else {
-      const Value* bound = params.LookupParam(*plan.seed_param);
-      if (bound == nullptr) {
-        return Status::NotFound("parameter '" + *plan.seed_param +
-                                "' not bound");
-      }
-      seed = *bound;
-    }
-    const size_t edge_indexes = edges->index_count();
-    DATACON_ASSIGN_OR_RETURN(Relation closure,
-                             SeededClosure(*edges, {seed}, plan.result_schema));
-    // The first seeded lookup over these edges builds their source index.
-    ev.record().physical_index_builds += edges->index_count() - edge_indexes;
-    if (span.active()) {
-      span.AddArg("edge_tuples", static_cast<int64_t>(edges->size()));
-      span.AddArg("closure_tuples", static_cast<int64_t>(closure.size()));
-    }
-    // The seeded closure is the plan's working set.
-    QueryRecord& record = ev.record();
-    record.peak_delta_tuples =
-        std::max(record.peak_delta_tuples, closure.size());
-    if (ev.profile() != nullptr) {
-      ev.profile()
-          ->AddChild("seeded transitive closure")
-          ->counters()
-          .Add("closure_tuples", static_cast<int64_t>(closure.size()));
-    }
-    int node = program->seeded_node;
-    if (node < 0) {
-      DATACON_ASSIGN_OR_RETURN(
-          node, program->graph->FindNode(*expr.branches()[plan.branch_index]
-                                              ->bindings()[plan.binding_index]
-                                              .range));
-    }
-    DATACON_RETURN_IF_ERROR(ev.InstallNodeRelation(
-        node, std::make_shared<Relation>(std::move(closure))));
-    DATACON_RETURN_IF_ERROR(ev.MaterializeAll());
-    return ev.EvaluateExpr(expr, schema);
-  }();
-  KeepRecord(&ev);
-  return result;
-}
-
-Result<Relation> Database::EvaluateGeneral(QueryProgram* program,
-                                           const Schema& schema,
-                                           const Environment& params,
-                                           bool allow_cache) {
-  EvalOptions eval_options = options_.eval;
-  eval_options.typed_proven = TypedProven();
-  SystemEvaluator ev(&catalog_, &*program->graph, eval_options,
+  SystemEvaluator ev(&catalog_, &*program->graph, EvalOptionsNow(),
                      Environment(&params));
   ev.InstallProgram(&program->system);
   ev.InstallEventLog(&event_log_);
   // Parameterized executions bypass the cache: parameter values change
   // results (and magic seeds) without appearing in any cache key.
-  const bool use_cache = allow_cache && options_.cache && !params.HasParams();
-  if (use_cache) ev.InstallMatCache(&mat_cache_);
+  if (allow_cache && options_.cache && !params.HasParams()) {
+    ev.InstallMatCache(&mat_cache_);
+  }
   if (program->specialization.has_value()) {
     ev.InstallSpecialization(&*program->specialization);
   }
-  if (options_.use_capture_rules) ev.InstallCaptureRules();
   Result<Relation> result = [&]() -> Result<Relation> {
+    if (options_.use_capture_rules) {
+      // Constant propagation into the recursive constructor: a seeded plan
+      // computes reachability from its seed only, never the full closure.
+      std::optional<CaptureSeed> seed;
+      if (const std::optional<SeededTcPlan>& seeded = program->plan.seeded) {
+        const Value* value = seeded->seed_literal.has_value()
+                                 ? &*seeded->seed_literal
+                                 : params.LookupParam(*seeded->seed_param);
+        if (value == nullptr) {
+          return Status::NotFound("parameter '" + *seeded->seed_param +
+                                  "' not bound");
+        }
+        seed = CaptureSeed{program->seeded_node, *value};
+      }
+      ev.InstallCaptureRules(std::move(seed));
+    }
     DATACON_RETURN_IF_ERROR(ev.MaterializeAll());
     return ev.EvaluateExpr(*program->plan.expr, schema);
   }();
   KeepRecord(&ev);
   return result;
+}
+
+EvalOptions Database::EvalOptionsNow() {
+  EvalOptions eval = options_.eval;
+  eval.typed_proven = TypedProven();
+  if (eval.exec.pool != nullptr) return eval;
+  const size_t threads = ThreadPool::ResolveThreadCount(eval.exec.num_threads);
+  if (threads <= 1) {
+    pool_.reset();
+    pool_threads_ = 0;
+    return eval;
+  }
+  if (pool_threads_ != threads) {
+    pool_.reset();  // join the old workers before spawning the new ones
+    pool_ = std::make_unique<ThreadPool>(threads);
+    pool_threads_ = threads;
+  }
+  eval.exec.pool = pool_.get();
+  return eval;
 }
 
 Result<PreparedQuery> Database::Prepare(

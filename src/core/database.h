@@ -136,7 +136,8 @@ struct QueryProgram {
   std::optional<ApplicationGraph> graph;
   std::optional<AdornmentAnalysis> adornment;
   std::optional<SpecializationPlan> specialization;
-  /// The seeded plan's closure node, or -1 (the run then reports why).
+  /// The seeded plan's closure node (the CaptureSeed's node); -1 for a
+  /// general plan.
   int seeded_node = -1;
   SystemProgram system;
 };
@@ -471,27 +472,25 @@ class Database {
   /// Compiles `program`'s level 3: instantiates the application graph of
   /// its plan and, for a general plan, runs the adornment analysis and
   /// builds the specialization plan (when options().specialize, or always
-  /// with `for_explain`); for a seeded plan, finds the closure's node.
+  /// with `for_explain`); for a seeded plan, finds the closure's node (and
+  /// fails when it cannot).
   Status CompileProgram(QueryProgram* program, bool for_explain = false) const;
 
-  /// Level-3 execution of a program (compiled first if it is not yet):
-  /// ExecuteSeeded or EvaluateGeneral. `allow_cache = false` forces the run
-  /// past the materialization cache (constraint checks).
+  /// Level-3 execution of a program (compiled first if it is not yet): one
+  /// evaluator materializes its application graph and evaluates its
+  /// expression. A seeded plan's seed (its literal, or its parameter bound
+  /// in `params`) becomes the capture rule's CaptureSeed. `allow_cache =
+  /// false` forces the run past the materialization cache (constraint
+  /// checks).
   Result<Relation> RunProgram(QueryProgram* program, const Schema& schema,
                               const Environment& params,
                               bool allow_cache = true);
 
-  /// Level-3 execution of a seeded-closure plan: installs the closure of
-  /// the seed as its application node's relation, then evaluates the query
-  /// like any other.
-  Result<Relation> ExecuteSeeded(QueryProgram* program, const Schema& schema,
-                                 const Environment& params);
-
-  /// Level-3 general execution (specialize, fixpoint) of a compiled
-  /// program.
-  Result<Relation> EvaluateGeneral(QueryProgram* program, const Schema& schema,
-                                   const Environment& params,
-                                   bool allow_cache);
+  /// The evaluator options of the next evaluation: options().eval with the
+  /// typed-proven verdict and, when THREADS resolves above 1 and no pool
+  /// was supplied, this database's worker pool — created on first use and
+  /// replaced when the resolved thread count changes.
+  EvalOptions EvalOptionsNow();
 
   Status DefineConstructorGroup(const std::vector<ConstructorDeclPtr>& decls,
                                 bool check_positivity);
@@ -528,6 +527,10 @@ class Database {
   SlowQueryLog slow_query_log_;
   MatCache mat_cache_;
   std::map<std::string, CompiledConstraint> constraints_;
+  /// The worker pool every evaluation of this database shares (see
+  /// EvalOptionsNow); null while THREADS resolves to 1.
+  std::unique_ptr<ThreadPool> pool_;
+  size_t pool_threads_ = 0;
 };
 
 }  // namespace datacon

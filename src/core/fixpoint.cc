@@ -290,7 +290,7 @@ Status SystemEvaluator::MaterializeAll() {
   for (int comp_id : scc.topological_order) {
     const size_t comp = static_cast<size_t>(comp_id);
     const std::vector<int>& members = scc.components[comp];
-    // Components fully covered by installed relations (a seeded closure)
+    // Components fully covered by installed relations (InstallNodeRelation)
     // are already materialized.
     bool installed = true;
     for (int n : members) {
@@ -319,7 +319,9 @@ Status SystemEvaluator::MaterializeAll() {
       comp_node = profile_->AddChild(
           strategy == ComponentStrategy::kSinglePass ? "node [" + key + "]"
           : strategy == ComponentStrategy::kCapture
-              ? "capture [" + key + "] (transitive closure)"
+              ? "capture [" + key + "] (" +
+                    (IsSeeded(members[0]) ? "seeded " : "") +
+                    "transitive closure)"
               : "component " + ComponentLabel(members) + " (" +
                     strategy_name + ")");
       cur_ = comp_node;
@@ -508,10 +510,21 @@ Result<Relation> SystemEvaluator::EvaluateExpr(const CalcExpr& expr,
 
 Status SystemEvaluator::CaptureClosure(int node) {
   const ApplicationGraph::Node& n = graph_->nodes()[static_cast<size_t>(node)];
-  TraceSpan span("capture");
+  const bool seeded = IsSeeded(node);
+  TraceSpan span(seeded ? "seeded closure" : "capture");
   DATACON_ASSIGN_OR_RETURN(const Relation* edges, Resolve(*n.base));
-  DATACON_ASSIGN_OR_RETURN(Relation closure,
-                           FullClosure(*edges, n.result_schema));
+  const size_t edge_indexes = edges->index_count();
+  DATACON_ASSIGN_OR_RETURN(
+      Relation closure,
+      seeded ? SeededClosure(*edges, {seed_->value}, n.result_schema)
+             : FullClosure(*edges, n.result_schema));
+  // The first seeded lookup over these edges builds their source index.
+  record_.physical_index_builds += edges->index_count() - edge_indexes;
+  // A seeded closure is its plan's working set.
+  if (seeded) {
+    record_.peak_delta_tuples =
+        std::max(record_.peak_delta_tuples, closure.size());
+  }
   const auto edge_n = static_cast<int64_t>(edges->size());
   const auto closure_n = static_cast<int64_t>(closure.size());
   if (span.active()) {
@@ -838,8 +851,13 @@ Status SystemEvaluator::FoldDeltas(const std::vector<int>& component,
 std::optional<SystemEvaluator::ComponentCacheKey> SystemEvaluator::CacheKeyFor(
     const std::vector<int>& component, ComponentStrategy strategy) const {
   // Unchecked systems are non-monotonic by construction (section 3.3's
-  // `strange`/`nonsense`); nothing about them is cached.
-  if (options_.unchecked) return std::nullopt;
+  // `strange`/`nonsense`); nothing about them is cached. A seeded closure
+  // is partial: under the full closure's key it would answer full queries.
+  if (options_.unchecked ||
+      std::any_of(component.begin(), component.end(),
+                  [this](int n) { return IsSeeded(n); })) {
+    return std::nullopt;
+  }
 
   std::set<int> members(component.begin(), component.end());
   // The cached result depends on every application the component reads,

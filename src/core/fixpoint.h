@@ -8,6 +8,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ast/branch.h"
@@ -22,6 +23,7 @@
 #include "ra/env.h"
 #include "ra/resolver.h"
 #include "storage/relation.h"
+#include "types/value.h"
 
 namespace datacon {
 
@@ -44,8 +46,17 @@ enum class FixpointStrategy {
 
 /// How MaterializeAll evaluates one component of the application graph:
 /// one pass (acyclic), a naive or semi-naive fixpoint (cyclic), or the
-/// capture rule of section 4 (a transitive closure, by FullClosure).
+/// capture rule of section 4 (a transitive closure, by FullClosure, or by
+/// SeededClosure for the node a CaptureSeed names).
 enum class ComponentStrategy { kSinglePass, kNaive, kSemiNaive, kCapture };
+
+/// The seeded form of the capture rule: application node `node` holds only
+/// the closure tuples whose source is `value` — the query's constant
+/// propagated into the closure (section 4), never the full closure.
+struct CaptureSeed {
+  int node = -1;
+  Value value;
+};
 
 /// Options controlling system evaluation.
 struct EvalOptions {
@@ -297,15 +308,14 @@ class SystemEvaluator : public RelationResolver {
   SystemEvaluator(const Catalog* catalog, const ApplicationGraph* graph,
                   EvalOptions options, Environment params = {});
 
-  /// Pre-installs an externally computed relation for `node` — the hook of
-  /// the seeded closure (reachability from the query's constant only):
-  /// MaterializeAll skips every component installed relations cover. Must
-  /// be called before MaterializeAll. The relation is shared without
-  /// copying (a std::unique_ptr converts) and treated as immutable — the
-  /// evaluator reads it but never mutates it (the cache may hand the same
-  /// object to later evaluations). Once the evaluator holds the only
-  /// reference, the relation is its own, and EvaluateExpr may hand it off
-  /// by move.
+  /// Pre-installs an externally computed relation for `node` (perfbench's
+  /// replay of the capture rule): MaterializeAll skips every component
+  /// installed relations cover. Must be called before MaterializeAll. The
+  /// relation is shared without copying (a std::unique_ptr converts) and
+  /// treated as immutable — the evaluator reads it but never mutates it
+  /// (the cache may hand the same object to later evaluations). Once the
+  /// evaluator holds the only reference, the relation is its own, and
+  /// EvaluateExpr may hand it off by move.
   Status InstallNodeRelation(int node, std::shared_ptr<const Relation> rel);
 
   /// Enables the materialization cache: MaterializeAll consults `cache`
@@ -323,10 +333,14 @@ class SystemEvaluator : public RelationResolver {
   void InstallSpecialization(const SpecializationPlan* plan) { plan_ = plan; }
 
   /// Turns the capture rule on: MaterializeAll evaluates every component
-  /// ChooseComponentStrategy captures by FullClosure, through the same
-  /// cache, profile and span path as any other component. Must be called
-  /// before MaterializeAll.
-  void InstallCaptureRules() { capture_rules_ = true; }
+  /// ChooseComponentStrategy captures by FullClosure — or, for the node
+  /// `seed` names, by SeededClosure from its value — through the same
+  /// profile and span path as any other component. A seeded closure is
+  /// partial, so it is never cached. Must be called before MaterializeAll.
+  void InstallCaptureRules(std::optional<CaptureSeed> seed = std::nullopt) {
+    capture_rules_ = true;
+    seed_ = std::move(seed);
+  }
 
   /// Runs `program` (not owned; must outlive the evaluator) instead of a
   /// program of the evaluator's own: compiled parts it already holds are
@@ -372,15 +386,10 @@ class SystemEvaluator : public RelationResolver {
 
   const EvalStats& stats() const { return record_.stats; }
 
-  /// The record so far (complete after MaterializeAll + EvaluateExpr). The
-  /// database layer also counts the seeded closure's working-set peak
-  /// through it.
-  QueryRecord& record() { return record_; }
+  /// The record so far (complete after MaterializeAll + EvaluateExpr).
   const QueryRecord& record() const { return record_; }
 
-  /// The profile tree collected so far (null unless options.profile). The
-  /// database layer also appends the seeded-closure node through this.
-  ProfileNode* profile() { return profile_.get(); }
+  /// The profile tree collected so far (null unless options.profile).
   const ProfileNode* profile() const { return profile_.get(); }
 
   /// Transfers ownership of the profile tree (null unless options.profile);
@@ -419,8 +428,14 @@ class SystemEvaluator : public RelationResolver {
   Status SemiNaiveFixpoint(size_t comp);
 
   /// The capture rule over one captured node: the FullClosure of its base
-  /// range, with its `capture` span and profile counters.
+  /// range, or its SeededClosure when it is the seeded node, with its
+  /// `capture` or `seeded closure` span and profile counters.
   Status CaptureClosure(int node);
+
+  /// Whether `node` is the seeded capture's node.
+  bool IsSeeded(int node) const {
+    return seed_.has_value() && seed_->node == node;
+  }
 
   /// The ComponentBranch list of the bodies of component `comp` (which
   /// must be the component being iterated, iterating_nodes_), analyzed on
@@ -583,8 +598,10 @@ class SystemEvaluator : public RelationResolver {
   /// Materialization cache (not owned; null when disabled).
   MatCache* cache_ = nullptr;
 
-  /// Whether ChooseComponentStrategy may pick the capture rule.
+  /// Whether ChooseComponentStrategy may pick the capture rule, and the
+  /// seeded capture's node and value, if any.
   bool capture_rules_ = false;
+  std::optional<CaptureSeed> seed_;
 
   /// Structured-event sink (not owned; null when disabled).
   EventLog* events_ = nullptr;
@@ -609,7 +626,7 @@ class SystemEvaluator : public RelationResolver {
   /// Worker pool shared by every branch execution of this evaluator, so
   /// per-round fan-outs do not respawn threads. Created in the constructor
   /// only when the options ask for more than one thread and no external
-  /// pool was supplied.
+  /// pool was supplied (Database supplies its own).
   std::unique_ptr<ThreadPool> pool_;
 
   QueryRecord record_;

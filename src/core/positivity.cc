@@ -1,63 +1,8 @@
 #include "core/positivity.h"
 
 #include "ast/printer.h"
-#include "common/check.h"
 
 namespace datacon {
-
-namespace {
-
-void WalkPred(const Pred& pred, int parity,
-              const std::function<void(const Range&, int)>& fn) {
-  switch (pred.kind()) {
-    case Pred::Kind::kBool:
-    case Pred::Kind::kCompare:
-      return;
-    case Pred::Kind::kAnd:
-      for (const PredPtr& op : static_cast<const AndPred&>(pred).operands()) {
-        WalkPred(*op, parity, fn);
-      }
-      return;
-    case Pred::Kind::kOr:
-      for (const PredPtr& op : static_cast<const OrPred&>(pred).operands()) {
-        WalkPred(*op, parity, fn);
-      }
-      return;
-    case Pred::Kind::kNot:
-      // Everything inside the negated factor is under one more NOT.
-      WalkPred(*static_cast<const NotPred&>(pred).operand(), parity + 1, fn);
-      return;
-    case Pred::Kind::kQuant: {
-      const auto& p = static_cast<const QuantPred&>(pred);
-      // Only a universal quantifier's *range* counts as "under" it
-      // (section 3.3); SOME ranges and both bodies keep the current parity.
-      int range_parity =
-          p.quantifier() == Quantifier::kAll ? parity + 1 : parity;
-      fn(*p.range(), range_parity);
-      WalkPred(*p.body(), parity, fn);
-      return;
-    }
-    case Pred::Kind::kIn:
-      fn(*static_cast<const InPred&>(pred).range(), parity);
-      return;
-  }
-  DATACON_UNREACHABLE("pred kind");
-}
-
-}  // namespace
-
-void ForEachRangeWithParity(
-    const Pred& pred, int initial_parity,
-    const std::function<void(const Range&, int parity)>& fn) {
-  WalkPred(pred, initial_parity, fn);
-}
-
-void ForEachRangeWithParity(
-    const Branch& branch,
-    const std::function<void(const Range&, int parity)>& fn) {
-  for (const Binding& b : branch.bindings()) fn(*b.range, 0);
-  WalkPred(*branch.pred(), 0, fn);
-}
 
 namespace {
 

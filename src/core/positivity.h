@@ -1,8 +1,6 @@
 #ifndef DATACON_CORE_POSITIVITY_H_
 #define DATACON_CORE_POSITIVITY_H_
 
-#include <functional>
-
 #include "ast/branch.h"
 #include "ast/decl.h"
 #include "ast/pred.h"
@@ -11,27 +9,8 @@
 
 namespace datacon {
 
-/// Invokes `fn(range, parity)` for every range expression occurring in the
-/// branch — binding ranges, quantifier ranges, and membership ranges —
-/// where `parity` is the total number of enclosing NOTs and ALLs, counted
-/// exactly as defined in section 3.3 of the paper:
-///
-///  * everything inside `NOT f` is under that NOT;
-///  * the *range* of `ALL v IN exp (p)` is under that ALL, but names
-///    occurring only in the body `p` are not;
-///  * branch binding ranges are at parity 0.
-///
-/// Constructor arguments nested inside a range share the range's parity
-/// (`fn` receives the outermost range; use Range::ContainsConstructor to
-/// inspect nesting).
-void ForEachRangeWithParity(
-    const Branch& branch,
-    const std::function<void(const Range&, int parity)>& fn);
-
-/// Same traversal over a bare predicate, starting at `initial_parity`.
-void ForEachRangeWithParity(
-    const Pred& pred, int initial_parity,
-    const std::function<void(const Range&, int parity)>& fn);
+// ForEachRangeWithParity (ast/branch.h) is the traversal the positivity
+// test counts NOTs and ALLs with.
 
 /// The positivity constraint of section 3.3: every range containing a
 /// constructor application must occur under an even number of NOTs and

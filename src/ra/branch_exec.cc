@@ -18,41 +18,6 @@ namespace datacon {
 
 namespace {
 
-/// Collects the range of every quantifier and membership predicate in
-/// `pred`, recursively. These are the only ranges the evaluator can ask a
-/// resolver for during branch execution; materializing them up front makes
-/// the per-tuple pipeline resolver-free and therefore safe to fan out.
-void CollectPredRanges(const Pred& pred, std::vector<const Range*>* out) {
-  switch (pred.kind()) {
-    case Pred::Kind::kBool:
-    case Pred::Kind::kCompare:
-      return;
-    case Pred::Kind::kAnd:
-      for (const PredPtr& op : static_cast<const AndPred&>(pred).operands()) {
-        CollectPredRanges(*op, out);
-      }
-      return;
-    case Pred::Kind::kOr:
-      for (const PredPtr& op : static_cast<const OrPred&>(pred).operands()) {
-        CollectPredRanges(*op, out);
-      }
-      return;
-    case Pred::Kind::kNot:
-      CollectPredRanges(*static_cast<const NotPred&>(pred).operand(), out);
-      return;
-    case Pred::Kind::kQuant: {
-      const auto& p = static_cast<const QuantPred&>(pred);
-      out->push_back(p.range().get());
-      CollectPredRanges(*p.body(), out);
-      return;
-    }
-    case Pred::Kind::kIn:
-      out->push_back(static_cast<const InPred&>(pred).range().get());
-      return;
-  }
-  DATACON_UNREACHABLE("pred kind");
-}
-
 /// A read-only resolver over ranges materialized before a parallel fan-out.
 ///
 /// SystemEvaluator::Resolve mutates its selector-chain caches, so worker
@@ -64,8 +29,12 @@ class SnapshotResolver : public RelationResolver {
  public:
   /// Resolves all quantifier/membership ranges of `pred` through `base`.
   Status Prewarm(const Pred& pred, const RelationResolver* base) {
+    // These are the only ranges the evaluator can ask a resolver for during
+    // branch execution; materializing them up front makes the per-tuple
+    // pipeline resolver-free and therefore safe to fan out.
     std::vector<const Range*> ranges;
-    CollectPredRanges(pred, &ranges);
+    ForEachRangeWithParity(
+        pred, 0, [&](const Range& r, int) { ranges.push_back(&r); });
     if (ranges.empty()) return Status::OK();
     if (base == nullptr) {
       return Status::Internal("predicate ranges without a resolver: " +

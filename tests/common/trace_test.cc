@@ -201,9 +201,9 @@ TEST_F(TraceTest, SpanRecordsCompleteEventWithArgs) {
   EXPECT_EQ(event.name, "round");
   EXPECT_GE(event.dur_ns, 0);
   ASSERT_EQ(event.args.size(), 2u);
-  EXPECT_EQ(event.args[0].key, "delta");
+  EXPECT_STREQ(event.args[0].key, "delta");
   EXPECT_EQ(event.args[0].int_value, 42);
-  EXPECT_EQ(event.args[1].key, "strategy");
+  EXPECT_STREQ(event.args[1].key, "strategy");
   EXPECT_EQ(event.args[1].str_value, "semi-naive");
 }
 

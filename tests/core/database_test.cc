@@ -7,6 +7,7 @@
 #include <string>
 
 #include "ast/builder.h"
+#include "common/trace.h"
 #include "testutil.h"
 #include "workload/generators.h"
 
@@ -228,6 +229,103 @@ TEST(Database, SeededPlansKeepTheirRecord) {
       }
     }
   }
+}
+
+TEST(Database, SeededClosureNeverAnswersFullQueries) {
+  // With the cache on, a seeded closure (the capture rule's partial form)
+  // is never stored or looked up: full queries keep getting the complete
+  // closure before and after it, whichever runs first, and the seeded
+  // query reports no cache outcome at all.
+  const workload::EdgeList chain = workload::Chain(12);
+  const std::set<std::pair<int, int>> full = ReferenceClosure(chain);
+  std::set<std::pair<int, int>> seeded;
+  for (int dst = 4; dst <= 11; ++dst) seeded.emplace(3, dst);
+  CalcExprPtr seeded_query =
+      Union({IdentityBranch("v", Constructed(Rel("g_E"), "g_tc"),
+                            Eq(FieldRef("v", "src"), Int(3)))});
+  for (bool seeded_first : {false, true}) {
+    SCOPED_TRACE(seeded_first ? "seeded, full, seeded" : "full, seeded, full");
+    Database db;
+    ASSERT_TRUE(db.options().cache);
+    ASSERT_TRUE(workload::SetupClosure(&db, "g", chain).ok());
+    for (int step = 0; step < 3; ++step) {
+      const bool seeded_step = (step % 2 == 0) == seeded_first;
+      Result<Relation> r = seeded_step
+                               ? db.EvalQuery(seeded_query)
+                               : db.EvalRange(Constructed(Rel("g_E"), "g_tc"));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      const EvaluationRecord& record = db.last_record();
+      if (seeded_step) {
+        EXPECT_EQ(ToPairSet(*r), seeded) << "step " << step;
+        EXPECT_EQ(record.cache_hits, 0u) << "step " << step;
+        EXPECT_EQ(record.cache_misses, 0u) << "step " << step;
+        EXPECT_EQ(record.cache_delta_hits, 0u) << "step " << step;
+      } else {
+        EXPECT_EQ(ToPairSet(*r), full) << "step " << step;
+        // The full closure's own entry serves its second run.
+        EXPECT_EQ(record.cache_hits, step == 2 ? 1u : 0u) << "step " << step;
+      }
+    }
+  }
+}
+
+TEST(Database, SeededProfileShowsTheCaptureComponent) {
+  // The profile EXPLAIN ANALYZE renders: a seeded query's closure is the
+  // capture component of the one component loop, with its counters.
+  Database db;
+  db.options().eval.profile = true;
+  ASSERT_TRUE(workload::SetupClosure(&db, "g", workload::Chain(12)).ok());
+  Result<Relation> r = db.EvalQuery(
+      Union({IdentityBranch("v", Constructed(Rel("g_E"), "g_tc"),
+                            Eq(FieldRef("v", "src"), Int(3)))}));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_NE(db.last_profile(), nullptr);
+  const ProfileNode* capture = db.last_profile()->Find(
+      "capture [g_E {g_tc}] (seeded transitive closure)");
+  ASSERT_NE(capture, nullptr) << db.last_profile()->ToText();
+  EXPECT_EQ(capture->counters().Get("closure_tuples"), 8);
+  EXPECT_EQ(capture->counters().Get("edge_tuples"), 11);
+}
+
+TEST(Database, EvaluationsShareOneWorkerPool) {
+  // Every evaluation of a database fans out onto the database's one pool:
+  // the worker threads that run the second evaluation's chunks are among
+  // those that ran the first's. A changed THREADS replaces the pool.
+  TraceRecorder& rec = TraceRecorder::Global();
+  DatabaseOptions options;
+  options.use_capture_rules = false;  // semi-naive rounds fan out
+  options.cache = false;
+  options.eval.exec.num_threads = 4;
+  Database db(options);
+  ASSERT_TRUE(workload::SetupClosure(&db, "g",
+                                     workload::RandomDigraph(48, 160, 11))
+                  .ok());
+  // The chunk-span threads and the fan-out widths of one evaluation.
+  auto evaluate = [&](std::set<uint32_t>* tids, std::set<int64_t>* widths) {
+    rec.Clear();
+    rec.Enable(true);
+    Result<Relation> r = db.EvalRange(Constructed(Rel("g_E"), "g_tc"));
+    rec.Enable(false);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    for (const TraceEvent& e : rec.Snapshot().events) {
+      if (e.name == "chunk") tids->insert(e.tid);
+      if (e.name != "fanout") continue;
+      for (const TraceArg& a : e.args) {
+        if (std::string(a.key) == "threads") widths->insert(a.int_value);
+      }
+    }
+  };
+  std::set<uint32_t> first, second, third;
+  std::set<int64_t> widths, narrowed;
+  evaluate(&first, &widths);
+  evaluate(&second, &widths);
+  ASSERT_FALSE(second.empty());
+  for (uint32_t tid : second) EXPECT_EQ(first.count(tid), 1u) << tid;
+  EXPECT_EQ(widths, std::set<int64_t>{4});
+  db.options().eval.exec.num_threads = 2;
+  evaluate(&third, &narrowed);
+  rec.Clear();
+  EXPECT_EQ(narrowed, std::set<int64_t>{2});
 }
 
 TEST(Database, PreparedQueryParameterValidation) {

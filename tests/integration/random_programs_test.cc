@@ -11,8 +11,10 @@
 // and all results must agree tuple-for-tuple. A second check runs bound,
 // joined and quantified queries over each system with index probes on and
 // off, serial and fanned out; a third reuses prepared forms across many
-// executions and an insert against ad-hoc queries. This is the strongest check
-// in the suite: any soundness or completeness bug in instantiation,
+// executions and an insert against ad-hoc queries; a fourth runs the
+// seeded closure forms (literal and parameter) between full closure
+// queries under capture, cache and THREADS settings. This is the strongest
+// check in the suite: any soundness or completeness bug in instantiation,
 // differential evaluation, translation, or tabling shows up as a mismatch.
 
 #include <gtest/gtest.h>
@@ -253,6 +255,57 @@ TEST_P(RandomProgramTest, PreparedProgramsAgreeAcrossReuse) {
                 .ok());
       }
       EXPECT_EQ(compilations->value() - before, k);
+    }
+  }
+}
+
+TEST_P(RandomProgramTest, SeededFormsAgreeAcrossKnobs) {
+  // The seeded closure forms — a literal start ad hoc, a parameter start
+  // prepared — interleaved with full closure queries over a random graph
+  // (a seeded query first, so a cached partial closure would show): every
+  // combination of capture on/off, cache on/off and THREADS 1/4 gives the
+  // same answers. With capture on the seeded plan runs; full queries must
+  // never be answered from a seeded closure.
+  workload::EdgeList g = workload::RandomDigraph(6, 9, GetParam() * 17 + 3);
+  auto seeded_form = [](TermPtr start) {
+    return Union({IdentityBranch("v", Constructed(Rel("g_E"), "g_tc"),
+                                 Eq(FieldRef("v", "src"), std::move(start)))});
+  };
+  std::optional<std::vector<std::string>> reference;
+  for (bool capture : {false, true}) {
+    for (bool cache : {false, true}) {
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        DatabaseOptions options;
+        options.use_capture_rules = capture;
+        options.cache = cache;
+        options.eval.exec.num_threads = threads;
+        options.eval.exec.min_parallel_tuples = 1;
+        Database db(options);
+        ASSERT_TRUE(workload::SetupClosure(&db, "g", g).ok());
+        Result<PreparedQuery> prepared = db.Prepare(
+            seeded_form(Param("start")), {{"start", ValueType::kInt}});
+        ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+        const bool seeded =
+            prepared->plan_description().rfind("seeded transitive", 0) == 0;
+        EXPECT_EQ(seeded, capture);
+        std::vector<std::string> results;
+        auto keep = [&](const Result<Relation>& r) {
+          ASSERT_TRUE(r.ok()) << r.status().ToString();
+          results.push_back(r->ToString());
+        };
+        for (int start = 0; start < 6; ++start) {
+          keep(db.EvalQuery(seeded_form(Int(start))));
+          keep(db.EvalRange(Constructed(Rel("g_E"), "g_tc")));
+          keep(prepared->Execute({{"start", Value::Int(start)}}));
+        }
+        if (!reference.has_value()) {
+          reference = std::move(results);
+        } else {
+          EXPECT_EQ(results, *reference)
+              << "capture=" << capture << " cache=" << cache
+              << " threads=" << threads << " (seed " << GetParam() << ")";
+        }
+      }
     }
   }
 }
