@@ -109,9 +109,9 @@ cmake --build build-tsan -j --target \
   core_observability_test common_metrics_test core_matcache_test \
   integration_cache_semantics_test common_eventlog_test \
   integration_probe_semantics_test storage_index_test \
-  integration_prepared_program_test core_database_test
+  integration_prepared_program_test core_database_test types_value_test
 
-echo "== tsan: parallel + cache + telemetry + index probe + program + pool tests =="
+echo "== tsan: parallel + cache + telemetry + index probe + program + pool + symbol table tests =="
 ./build-tsan/tests/common_thread_pool_test
 ./build-tsan/tests/common_trace_test
 ./build-tsan/tests/core_fixpoint_parallel_test
@@ -126,5 +126,7 @@ echo "== tsan: parallel + cache + telemetry + index probe + program + pool tests
 # One database's evaluations share its worker pool.
 ./build-tsan/tests/core_database_test \
   --gtest_filter=Database.EvaluationsShareOneWorkerPool
+# Interning and lock-free symbol-table reads from several threads at once.
+./build-tsan/tests/types_value_test
 
 echo "All checks passed."

@@ -27,7 +27,7 @@ inline TermPtr Int(int64_t v) {
   return std::make_shared<LiteralTerm>(Value::Int(v));
 }
 inline TermPtr Str(std::string v) {
-  return std::make_shared<LiteralTerm>(Value::String(std::move(v)));
+  return std::make_shared<LiteralTerm>(Value::String(v));
 }
 inline TermPtr BoolLit(bool v) {
   return std::make_shared<LiteralTerm>(Value::Bool(v));

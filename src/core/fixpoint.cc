@@ -432,9 +432,7 @@ std::optional<int> SystemEvaluator::HandOffNode(
     program_->handoff_node = [&]() -> int {
       if (expr.branches().size() != 1) return -1;
       const Branch& branch = *expr.branches()[0];
-      if (branch.targets().has_value() || branch.bindings().size() != 1 ||
-          branch.pred()->kind() != Pred::Kind::kBool ||
-          !static_cast<const BoolPred&>(*branch.pred()).value()) {
+      if (branch.targets().has_value() || branch.bindings().size() != 1) {
         return -1;
       }
       RangeSplit split = SplitAtLastConstructor(*branch.bindings()[0].range);
@@ -442,11 +440,25 @@ std::optional<int> SystemEvaluator::HandOffNode(
         return -1;
       }
       Result<int> node = graph_->FindNode(**split.ctor_head);
-      return node.ok() ? node.value() : -1;
+      if (!node.ok()) return -1;
+      const Pred& pred = *branch.pred();
+      program_->handoff_seeded =
+          pred.kind() != Pred::Kind::kBool ||
+          !static_cast<const BoolPred&>(pred).value();
+      // Besides TRUE, a lone comparison can only be handed off when the
+      // node turns out seeded: DetectSeededTc then found the seed equality
+      // `v.<first field> = seed` among the predicate's conjuncts, so the
+      // comparison is that equality and every closure tuple passes it.
+      if (program_->handoff_seeded && pred.kind() != Pred::Kind::kCompare) {
+        return -1;
+      }
+      return node.value();
     }();
   }
   const int node = *program_->handoff_node;
-  if (node < 0) return std::nullopt;
+  if (node < 0 || (program_->handoff_seeded && !IsSeeded(node))) {
+    return std::nullopt;
+  }
   const std::shared_ptr<Relation>& total = totals_[static_cast<size_t>(node)];
   if (total == nullptr || !(total->schema() == result_schema)) {
     return std::nullopt;
@@ -473,9 +485,11 @@ Result<Relation> SystemEvaluator::EvaluateExpr(const CalcExpr& expr,
   }
   Status status = Status::OK();
   if (std::optional<int> node = HandOffNode(expr, result_schema)) {
-    // The identity branch would re-insert every tuple of the node into an
-    // equal schema — it can neither fail nor change the set. Hand the set
-    // over and record the counters that execution would have produced.
+    // The identity branch (or the seed equality over a seeded closure,
+    // which every tuple passes) would re-insert every tuple of the node
+    // into an equal schema — it can neither fail nor change the set. Hand
+    // the set over and record the counters that execution would have
+    // produced.
     std::shared_ptr<Relation>& total = totals_[static_cast<size_t>(*node)];
     if (total.use_count() == 1) {
       out = std::move(*total);

@@ -285,10 +285,13 @@ struct SystemProgram {
   /// [node][branch] over the application graph's bodies.
   std::vector<std::vector<BranchProgram>> node_branches;
   /// The branches of the query expression last evaluated (EvaluateExpr)
-  /// and, once examined, the node whose relation it hands off (-1: none).
+  /// and, once examined, the node whose relation it hands off (-1: none)
+  /// and whether that takes the node to be seeded (the predicate is the
+  /// seed equality rather than TRUE).
   const CalcExpr* query = nullptr;
   std::vector<BranchProgram> query_branches;
   std::optional<int> handoff_node;
+  bool handoff_seeded = false;
 };
 
 /// Evaluates an instantiated application system (level 3 of the paper's
@@ -507,7 +510,10 @@ class SystemEvaluator : public RelationResolver {
                                 OldRelations* olds) const;
 
   /// The application node whose relation `expr` returns unchanged (see
-  /// EvaluateExpr), or nullopt.
+  /// EvaluateExpr), or nullopt: `expr` is one target-free branch over one
+  /// application whose predicate is TRUE, or the equality of the first
+  /// field with the seed of a seeded closure (every tuple of which starts
+  /// with the seed).
   std::optional<int> HandOffNode(const CalcExpr& expr,
                                  const Schema& result_schema) const;
 

@@ -247,7 +247,9 @@ Result<Relation> SldEngine::Solve(
     if (i < bound_args.size() && bound_args[i].has_value()) {
       query.args.push_back(PrologTerm::MakeConst(*bound_args[i]));
     } else {
-      query.args.push_back(PrologTerm::MakeVar("Q" + std::to_string(i)));
+      std::string var = "Q";
+      var += std::to_string(i);
+      query.args.push_back(PrologTerm::MakeVar(std::move(var)));
     }
   }
 

@@ -24,6 +24,7 @@ int Value::Compare(const Value& other) const {
       return a < b ? -1 : (a > b ? 1 : 0);
     }
     case ValueType::kString: {
+      if (bits_ == other.bits_) return 0;
       int c = AsString().compare(other.AsString());
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }

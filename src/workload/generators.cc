@@ -200,7 +200,7 @@ Status SetupCadScene(Database* db, int objects, int infront_edges,
   auto part = [](int i) {
     std::string name = "p";
     name += std::to_string(i);
-    return Value::String(std::move(name));
+    return Value::String(name);
   };
   std::set<std::pair<int, int>> seen;
   int attempts = 0;

@@ -2,7 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <string>
+#include <thread>
 #include <unordered_set>
+#include <variant>
+#include <vector>
+
+#include "common/hash.h"
+#include "types/symbol_table.h"
 
 namespace datacon {
 namespace {
@@ -78,6 +89,112 @@ TEST(Value, IntAndStringWithSameSpellingDiffer) {
   // The hash mixes the type tag, so 1 and "1" rarely collide and never
   // compare equal.
   EXPECT_NE(Value::Int(1), Value::String("1"));
+}
+
+TEST(Value, IsOneWordPlusATag) { EXPECT_EQ(sizeof(Value), 16u); }
+
+/// The hash a value had when it held a `std::variant<int64_t, std::string,
+/// bool>`: the alternative's index mixed with the std::hash of its content.
+size_t VariantHash(const std::variant<int64_t, std::string, bool>& rep) {
+  size_t seed = rep.index();
+  std::visit([&](const auto& v) { HashCombineValue(seed, v); }, rep);
+  return seed;
+}
+
+TEST(Value, HashEqualsTheVariantFormula) {
+  // Hash order decides unordered iteration, first-error choice and EXPLAIN
+  // text, so interning must not change a single hash.
+  for (int64_t i : {int64_t{0}, int64_t{1}, int64_t{-1}, int64_t{42},
+                    std::numeric_limits<int64_t>::min(),
+                    std::numeric_limits<int64_t>::max()}) {
+    EXPECT_EQ(Value::Int(i).Hash(), VariantHash(i)) << i;
+  }
+  for (const std::string& s :
+       {std::string(), std::string("a"), std::string("table"),
+        std::string("a part name longer than the small-string buffer"),
+        std::string("nul\0inside", 10), std::string("caf\xc3\xa9")}) {
+    EXPECT_EQ(Value::String(s).Hash(), VariantHash(s)) << s;
+  }
+  EXPECT_EQ(Value::Bool(true).Hash(), VariantHash(true));
+  EXPECT_EQ(Value::Bool(false).Hash(), VariantHash(false));
+}
+
+TEST(Value, StringOrderIgnoresInternOrder) {
+  // The later-interned string still sorts first: ordering reads the text.
+  const uint32_t b = SymbolTable::Intern("intern-order-b");
+  const uint32_t a = SymbolTable::Intern("intern-order-a");
+  ASSERT_LT(b, a);
+  EXPECT_LT(Value::String("intern-order-a"), Value::String("intern-order-b"));
+  EXPECT_LT(Value::String("intern-order-a").Compare(
+                Value::String("intern-order-b")),
+            0);
+  EXPECT_GT(Value::String("intern-order-b").Compare(
+                Value::String("intern-order-a")),
+            0);
+  EXPECT_EQ(Value::String("intern-order-a").Compare(
+                Value::String("intern-order-a")),
+            0);
+}
+
+TEST(Value, UnusualStringsRoundTrip) {
+  const std::string empty;
+  const std::string nul("a\0b", 3);
+  const std::string utf8 = "\xe2\x88\x80x \xe2\x88\x83y";
+  for (const std::string& s : {empty, nul, utf8}) {
+    Value v = Value::String(s);
+    EXPECT_EQ(v.AsString(), s);
+    EXPECT_EQ(v, Value::String(s));
+    EXPECT_EQ(v.Hash(), Value::String(s).Hash());
+  }
+  EXPECT_EQ(Value::String(nul).AsString().size(), 3u);
+  // An embedded NUL is part of the string, not its end.
+  EXPECT_NE(Value::String(nul), Value::String("a"));
+  EXPECT_LT(Value::String("a"), Value::String(nul));
+  EXPECT_LT(Value::String(empty), Value::String("a"));
+  EXPECT_EQ(Value::String(empty).ToString(), "\"\"");
+}
+
+TEST(Value, ReinterningDoesNotGrowTheTable) {
+  const uint32_t id = SymbolTable::Intern("reintern-me");
+  const size_t size = SymbolTable::Size();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(SymbolTable::Intern(std::string("reintern-") + "me"), id);
+    Value v = Value::String("reintern-me");
+    EXPECT_EQ(v.AsString(), "reintern-me");
+  }
+  EXPECT_EQ(SymbolTable::Size(), size);
+}
+
+TEST(Value, ConcurrentInterningAndReading) {
+  // Threads intern overlapping string sets (crossing chunk boundaries, so
+  // chunks are allocated while others read) and read back every value
+  // they made; a shared string gets one id whichever thread interns first.
+  constexpr int kThreads = 4;
+  constexpr int kStrings = 3000;
+  std::vector<std::vector<Value>> made(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &made] {
+      for (int k = 0; k < kStrings; ++k) {
+        const std::string shared = "shared-" + std::to_string(k);
+        const std::string own =
+            "own-" + std::to_string(t) + "-" + std::to_string(k);
+        made[static_cast<size_t>(t)].push_back(Value::String(shared));
+        Value mine = Value::String(own);
+        EXPECT_EQ(mine.AsString(), own);
+        EXPECT_EQ(mine.Hash(), VariantHash(own));
+      }
+      for (int k = 0; k < kStrings; ++k) {
+        EXPECT_EQ(made[static_cast<size_t>(t)][static_cast<size_t>(k)]
+                      .AsString(),
+                  "shared-" + std::to_string(k));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(made[static_cast<size_t>(t)], made[0]) << t;
+  }
 }
 
 TEST(ValueTypeName, Spellings) {
