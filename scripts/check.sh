@@ -129,4 +129,19 @@ echo "== tsan: parallel + cache + telemetry + index probe + program + pool + sym
 # Interning and lock-free symbol-table reads from several threads at once.
 ./build-tsan/tests/types_value_test
 
+echo "== asan: build =="
+# Substitution shares unchanged AST subtrees between the original and the
+# rewritten tree, so the front end's AST lifetimes are checked under ASan.
+ASAN_TESTS="core_subst_test core_rewrite_test ra_analysis_test \
+  analysis_constraint_test core_access_path_test analysis_lint_test \
+  analysis_script_lint_test"
+cmake -B build-asan -S . -DDATACON_SANITIZE=address >/dev/null
+# shellcheck disable=SC2086
+cmake --build build-asan -j --target $ASAN_TESTS
+
+echo "== asan: substitution, rewrite, collector, residue, access path and lint tests =="
+for t in $ASAN_TESTS; do
+  "./build-asan/tests/$t"
+done
+
 echo "All checks passed."

@@ -14,79 +14,6 @@ namespace datacon {
 
 namespace {
 
-/// SubstituteFields (core/subst.h) stops at range boundaries: quantifier and
-/// binding ranges are shared untouched. Residue instantiation must reach
-/// *into* ranges too — a correlated selector argument `[sel(v.f)]` of a
-/// remaining binding still references the removed delta variable. These
-/// helpers rebuild ranges and predicates with every term rewritten.
-RangePtr SubstituteFieldsInRange(const RangePtr& range,
-                                 const FieldSubstitution& subst) {
-  std::vector<RangeApp> apps;
-  apps.reserve(range->apps().size());
-  for (const RangeApp& app : range->apps()) {
-    RangeApp copy;
-    copy.kind = app.kind;
-    copy.name = app.name;
-    for (const TermPtr& t : app.term_args) {
-      copy.term_args.push_back(SubstituteFields(t, subst));
-    }
-    for (const RangePtr& r : app.range_args) {
-      copy.range_args.push_back(SubstituteFieldsInRange(r, subst));
-    }
-    apps.push_back(std::move(copy));
-  }
-  return std::make_shared<Range>(range->relation(), std::move(apps));
-}
-
-PredPtr SubstituteFieldsDeep(const PredPtr& pred,
-                             const FieldSubstitution& subst) {
-  switch (pred->kind()) {
-    case Pred::Kind::kBool:
-      return pred;
-    case Pred::Kind::kCompare: {
-      const auto& p = static_cast<const ComparePred&>(*pred);
-      return std::make_shared<ComparePred>(p.op(),
-                                           SubstituteFields(p.lhs(), subst),
-                                           SubstituteFields(p.rhs(), subst));
-    }
-    case Pred::Kind::kAnd: {
-      std::vector<PredPtr> ops;
-      for (const PredPtr& op : static_cast<const AndPred&>(*pred).operands()) {
-        ops.push_back(SubstituteFieldsDeep(op, subst));
-      }
-      return std::make_shared<AndPred>(std::move(ops));
-    }
-    case Pred::Kind::kOr: {
-      std::vector<PredPtr> ops;
-      for (const PredPtr& op : static_cast<const OrPred&>(*pred).operands()) {
-        ops.push_back(SubstituteFieldsDeep(op, subst));
-      }
-      return std::make_shared<OrPred>(std::move(ops));
-    }
-    case Pred::Kind::kNot: {
-      const auto& p = static_cast<const NotPred&>(*pred);
-      return std::make_shared<NotPred>(
-          SubstituteFieldsDeep(p.operand(), subst));
-    }
-    case Pred::Kind::kQuant: {
-      const auto& p = static_cast<const QuantPred&>(*pred);
-      return std::make_shared<QuantPred>(
-          p.quantifier(), p.var(), SubstituteFieldsInRange(p.range(), subst),
-          SubstituteFieldsDeep(p.body(), subst), p.loc());
-    }
-    case Pred::Kind::kIn: {
-      const auto& p = static_cast<const InPred&>(*pred);
-      std::vector<TermPtr> tuple;
-      for (const TermPtr& t : p.tuple()) {
-        tuple.push_back(SubstituteFields(t, subst));
-      }
-      return std::make_shared<InPred>(std::move(tuple),
-                                      SubstituteFieldsInRange(p.range(), subst));
-    }
-  }
-  return pred;
-}
-
 /// Reports E121 for every undeclared relation, selector, or constructor
 /// referenced by `range` (recursively through constructor arguments), at
 /// most once per name.
@@ -395,10 +322,12 @@ Result<ConstraintResidue> BuildResidue(const ConstraintBody& body,
 
   ConstraintResidue residue;
   residue.binding_index = binding_index;
-  FieldSubstitution subst;
+  // The delta variable's fields become parameters everywhere, selector
+  // arguments of the remaining ranges included.
+  Substitution subst;
   for (const Field& f : schema.fields()) {
     std::string param = "delta_" + f.name;
-    subst[{delta.var, f.name}] = Param(param);
+    subst.fields[{delta.var, f.name}] = Param(param);
     residue.param_fields.push_back(param);
     residue.placeholders.emplace(std::move(param), f.type);
   }
@@ -407,8 +336,7 @@ Result<ConstraintResidue> BuildResidue(const ConstraintBody& body,
   for (size_t j = 0; j < body.bindings.size(); ++j) {
     if (j == binding_index) continue;
     const Binding& b = body.bindings[j];
-    rest.push_back(
-        Binding{b.var, SubstituteFieldsInRange(b.range, subst), b.loc});
+    rest.push_back(Binding{b.var, SubstituteRange(b.range, subst), b.loc});
   }
 
   std::vector<TermPtr> targets;
@@ -427,7 +355,7 @@ Result<ConstraintResidue> BuildResidue(const ConstraintBody& body,
     rest.push_back(delta);
     pred = And(std::move(conjuncts));
   } else {
-    pred = SubstituteFieldsDeep(body.pred, subst);
+    pred = SubstitutePred(body.pred, subst);
     for (const Binding& b : rest) {
       DATACON_ASSIGN_OR_RETURN(const Schema* s,
                                RangeSchemaOf(*b.range, catalog));

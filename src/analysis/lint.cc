@@ -31,79 +31,6 @@ void ForEachRangeDeep(const Range& range,
   }
 }
 
-void CollectParamRefs(const Term& term, std::set<std::string>* out) {
-  switch (term.kind()) {
-    case Term::Kind::kParamRef:
-      out->insert(static_cast<const ParamRefTerm&>(term).name());
-      break;
-    case Term::Kind::kArith: {
-      const auto& arith = static_cast<const ArithTerm&>(term);
-      CollectParamRefs(*arith.lhs(), out);
-      CollectParamRefs(*arith.rhs(), out);
-      break;
-    }
-    case Term::Kind::kFieldRef:
-    case Term::Kind::kLiteral:
-      break;
-  }
-}
-
-void CollectParamRefs(const Range& range, std::set<std::string>* out) {
-  ForEachRangeDeep(range, [out](const Range& r) {
-    for (const RangeApp& app : r.apps()) {
-      for (const TermPtr& t : app.term_args) CollectParamRefs(*t, out);
-    }
-  });
-}
-
-void CollectParamRefs(const Pred& pred, std::set<std::string>* out) {
-  switch (pred.kind()) {
-    case Pred::Kind::kBool:
-      break;
-    case Pred::Kind::kCompare: {
-      const auto& cmp = static_cast<const ComparePred&>(pred);
-      CollectParamRefs(*cmp.lhs(), out);
-      CollectParamRefs(*cmp.rhs(), out);
-      break;
-    }
-    case Pred::Kind::kAnd:
-      for (const PredPtr& op : static_cast<const AndPred&>(pred).operands()) {
-        CollectParamRefs(*op, out);
-      }
-      break;
-    case Pred::Kind::kOr:
-      for (const PredPtr& op : static_cast<const OrPred&>(pred).operands()) {
-        CollectParamRefs(*op, out);
-      }
-      break;
-    case Pred::Kind::kNot:
-      CollectParamRefs(*static_cast<const NotPred&>(pred).operand(), out);
-      break;
-    case Pred::Kind::kQuant: {
-      const auto& quant = static_cast<const QuantPred&>(pred);
-      CollectParamRefs(*quant.range(), out);
-      CollectParamRefs(*quant.body(), out);
-      break;
-    }
-    case Pred::Kind::kIn: {
-      const auto& in = static_cast<const InPred&>(pred);
-      for (const TermPtr& t : in.tuple()) CollectParamRefs(*t, out);
-      CollectParamRefs(*in.range(), out);
-      break;
-    }
-  }
-}
-
-/// Tuple variables referenced by a range's selector arguments (a correlated
-/// range such as `Rel [near(r.pos)]`).
-void CollectRangeFreeVars(const Range& range, std::set<std::string>* out) {
-  ForEachRangeDeep(range, [out](const Range& r) {
-    for (const RangeApp& app : r.apps()) {
-      for (const TermPtr& t : app.term_args) CollectFreeVars(*t, out);
-    }
-  });
-}
-
 /// Constructor names applied anywhere inside `range` (deep).
 void CollectCtorNames(const Range& range, std::set<std::string>* out) {
   ForEachRangeDeep(range, [out](const Range& r) {
@@ -281,13 +208,15 @@ void LintBranch(const Branch& branch, const NameEnv& env,
   std::set<std::string> in_scope = binding_vars;
   WalkPred(*branch.pred(), env, &in_scope, branch_loc, out);
 
-  // E110: a free variable of the predicate or target list that no binding
-  // introduces ranges over nothing — the declaration is unsafe.
-  std::set<std::string> free = FreeVars(*branch.pred());
+  // E110: a free variable of the predicate, a correlated range or the
+  // target list that no binding introduces ranges over nothing — the
+  // declaration is unsafe.
+  std::set<std::string> used = FreeVars(*branch.pred());
+  for (const Binding& b : branch.bindings()) CollectFreeVars(*b.range, &used);
   if (branch.targets().has_value()) {
-    for (const TermPtr& t : *branch.targets()) CollectFreeVars(*t, &free);
+    for (const TermPtr& t : *branch.targets()) CollectFreeVars(*t, &used);
   }
-  for (const std::string& v : free) {
+  for (const std::string& v : used) {
     if (binding_vars.count(v) == 0) {
       out->push_back(MakeDiagnostic(
           kDiagUnsafeVariable,
@@ -295,15 +224,10 @@ void LintBranch(const Branch& branch, const NameEnv& env,
     }
   }
 
-  // W201: a binding no conjunct and no target mentions contributes nothing
-  // but a cardinality factor. Identity branches use their single binding as
-  // the implicit target.
-  std::set<std::string> used = FreeVars(*branch.pred());
-  for (const Binding& b : branch.bindings()) {
-    CollectRangeFreeVars(*b.range, &used);
-  }
+  // W201: a binding no conjunct, correlated range or target mentions
+  // contributes nothing but a cardinality factor. Identity branches use
+  // their single binding as the implicit target.
   if (branch.targets().has_value()) {
-    for (const TermPtr& t : *branch.targets()) CollectFreeVars(*t, &used);
     for (const Binding& b : branch.bindings()) {
       if (used.count(b.var) == 0) {
         out->push_back(MakeDiagnostic(
@@ -338,7 +262,7 @@ void LintBranch(const Branch& branch, const NameEnv& env,
     }
     for (const Binding& b : branch.bindings()) {
       std::set<std::string> corr;
-      CollectRangeFreeVars(*b.range, &corr);
+      CollectFreeVars(*b.range, &corr);
       corr.insert(b.var);
       link(corr);
     }
@@ -629,17 +553,11 @@ std::vector<Diagnostic> LintConstructorGroup(
     std::set<std::string> used_params;
     std::set<std::string> used_relations;
     for (const BranchPtr& branch : decl->body()->branches()) {
-      CollectParamRefs(*branch->pred(), &used_params);
-      if (branch->targets().has_value()) {
-        for (const TermPtr& t : *branch->targets()) {
-          CollectParamRefs(*t, &used_params);
-        }
-      }
+      CollectParamRefs(*branch, &used_params);
       ForEachRangeWithParity(*branch, [&](const Range& r, int) {
         ForEachRangeDeep(r, [&](const Range& inner) {
           used_relations.insert(inner.relation());
         });
-        CollectParamRefs(r, &used_params);
       });
     }
     for (const FormalScalar& p : decl->scalar_params()) {

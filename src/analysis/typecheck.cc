@@ -158,6 +158,9 @@ std::string ConflictMessage(const InferredType& cell) {
 }
 
 constexpr bool kFatal = true;
+/// Unresolved range names and unbound tuple variables: lint's own name and
+/// safety passes (E101, E110) report them, so lint output leaves them out.
+constexpr bool kLintReports = false;
 
 /// One finding of the walk: `fatal` ones level 1 rejects on; invisible ones
 /// are left out of lint output because another finding already says it.
@@ -285,7 +288,7 @@ class Inferencer {
                "relation '" + range.relation() +
                    "' is neither a formal parameter nor a declared relation "
                    "variable",
-               loc, kFatal);
+               loc, kFatal, kLintReports);
         return std::nullopt;
       }
       type_name = named.value();
@@ -300,7 +303,7 @@ class Inferencer {
         auto sel = catalog_.LookupSelector(app.name);
         if (!sel.ok()) {
           Report(kDiagUnknownName, "unknown selector '" + app.name + "'", loc,
-                 kFatal);
+                 kFatal, kLintReports);
         } else if (!quiet_) {
           CheckApp(app, sel.value()->base(), {}, sel.value()->params(),
                    row.schema, scope, loc);
@@ -317,7 +320,7 @@ class Inferencer {
         auto looked = catalog_.LookupConstructor(app.name);
         if (!looked.ok()) {
           Report(kDiagUnknownName, "unknown constructor '" + app.name + "'",
-                 loc, kFatal);
+                 loc, kFatal, kLintReports);
           return std::nullopt;
         }
         ctor = looked.value();
@@ -538,7 +541,7 @@ class Inferencer {
         const Row* row = scope.Var(t.var());
         if (row == nullptr) {
           Report(kDiagUnknownName, "unbound tuple variable '" + t.var() + "'",
-                 loc, kFatal);
+                 loc, kFatal, kLintReports);
           return {};
         }
         if (row->schema == nullptr) return {};

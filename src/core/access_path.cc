@@ -1,73 +1,12 @@
 #include "core/access_path.h"
 
+#include <set>
+
 #include "ast/builder.h"
 #include "ast/printer.h"
 #include "ra/analysis.h"
 
 namespace datacon {
-
-namespace {
-
-/// True when `term` mentions the parameter `param`.
-bool TermMentionsParam(const Term& term, const std::string& param) {
-  switch (term.kind()) {
-    case Term::Kind::kFieldRef:
-    case Term::Kind::kLiteral:
-      return false;
-    case Term::Kind::kParamRef:
-      return static_cast<const ParamRefTerm&>(term).name() == param;
-    case Term::Kind::kArith: {
-      const auto& t = static_cast<const ArithTerm&>(term);
-      return TermMentionsParam(*t.lhs(), param) ||
-             TermMentionsParam(*t.rhs(), param);
-    }
-  }
-  return false;
-}
-
-bool PredMentionsParam(const Pred& pred, const std::string& param) {
-  switch (pred.kind()) {
-    case Pred::Kind::kBool:
-      return false;
-    case Pred::Kind::kCompare: {
-      const auto& p = static_cast<const ComparePred&>(pred);
-      return TermMentionsParam(*p.lhs(), param) ||
-             TermMentionsParam(*p.rhs(), param);
-    }
-    case Pred::Kind::kAnd:
-      for (const PredPtr& op : static_cast<const AndPred&>(pred).operands()) {
-        if (PredMentionsParam(*op, param)) return true;
-      }
-      return false;
-    case Pred::Kind::kOr:
-      for (const PredPtr& op : static_cast<const OrPred&>(pred).operands()) {
-        if (PredMentionsParam(*op, param)) return true;
-      }
-      return false;
-    case Pred::Kind::kNot:
-      return PredMentionsParam(
-          *static_cast<const NotPred&>(pred).operand(), param);
-    case Pred::Kind::kQuant: {
-      const auto& p = static_cast<const QuantPred&>(pred);
-      for (const RangeApp& app : p.range()->apps()) {
-        for (const TermPtr& t : app.term_args) {
-          if (TermMentionsParam(*t, param)) return true;
-        }
-      }
-      return PredMentionsParam(*p.body(), param);
-    }
-    case Pred::Kind::kIn: {
-      const auto& p = static_cast<const InPred&>(pred);
-      for (const TermPtr& t : p.tuple()) {
-        if (TermMentionsParam(*t, param)) return true;
-      }
-      return false;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 Result<PhysicalAccessPath> PhysicalAccessPath::Build(Database* db,
                                                      CalcExprPtr form,
@@ -105,14 +44,18 @@ Result<PhysicalAccessPath> PhysicalAccessPath::Build(Database* db,
                                "' to an attribute with an equality");
   }
 
-  // Strip the conjunct; the rest of the form must no longer mention the
-  // parameter (it becomes a free variable of the materialization).
+  // Strip the conjunct; the rest of the form — ranges, predicate and
+  // targets — must no longer mention the parameter (it becomes a free
+  // variable of the materialization).
   std::vector<PredPtr> rest;
   for (size_t i = 0; i < conjuncts.size(); ++i) {
     if (i != *bound_index) rest.push_back(conjuncts[i]);
   }
-  PredPtr stripped_pred = ConjunctsToPred(std::move(rest));
-  if (PredMentionsParam(*stripped_pred, param)) {
+  BranchPtr stripped = std::make_shared<Branch>(
+      branch.bindings(), ConjunctsToPred(std::move(rest)), branch.targets());
+  std::set<std::string> params;
+  CollectParamRefs(*stripped, &params);
+  if (params.count(param) > 0) {
     return Status::Unsupported(
         "parameter '" + param +
         "' occurs outside its binding equality; cannot materialize");
@@ -120,8 +63,6 @@ Result<PhysicalAccessPath> PhysicalAccessPath::Build(Database* db,
 
   // The probe column: identity branches expose the range's fields; target
   // branches expose the target positions.
-  BranchPtr stripped = std::make_shared<Branch>(
-      branch.bindings(), stripped_pred, branch.targets());
   CalcExprPtr unrestricted =
       std::make_shared<CalcExpr>(std::vector<BranchPtr>{stripped});
 

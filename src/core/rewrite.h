@@ -1,7 +1,6 @@
 #ifndef DATACON_CORE_REWRITE_H_
 #define DATACON_CORE_REWRITE_H_
 
-#include <map>
 #include <optional>
 #include <string>
 
@@ -11,12 +10,6 @@
 #include "core/catalog.h"
 
 namespace datacon {
-
-/// Variable renaming over a branch (bindings, predicate, targets, nested
-/// quantifiers). Used to keep inlined constructor-body variables distinct
-/// from query variables.
-BranchPtr RenameVars(const BranchPtr& branch,
-                     const std::map<std::string, std::string>& renames);
 
 /// The section 4 propagation rules (a compiler-side application of the
 /// range-nesting equivalences N1–N3 of [JaKo 83]):

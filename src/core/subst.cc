@@ -1,14 +1,48 @@
 #include "core/subst.h"
 
+#include <iterator>
+
 #include "common/check.h"
 
 namespace datacon {
 
+namespace {
+
+/// Substitutes every element of `in` into `out`; true when any changed.
+template <typename Ptr>
+bool SubstituteEach(const std::vector<Ptr>& in, const Substitution& subst,
+                    Ptr (*fn)(const Ptr&, const Substitution&),
+                    std::vector<Ptr>* out) {
+  out->reserve(in.size());
+  bool changed = false;
+  for (const Ptr& x : in) {
+    out->push_back(fn(x, subst));
+    changed |= out->back() != x;
+  }
+  return changed;
+}
+
+const std::string& Renamed(const Substitution& subst, const std::string& var) {
+  auto it = subst.vars.find(var);
+  return it == subst.vars.end() ? var : it->second;
+}
+
+}  // namespace
+
 TermPtr SubstituteTerm(const TermPtr& term, const Substitution& subst) {
   switch (term->kind()) {
-    case Term::Kind::kFieldRef:
     case Term::Kind::kLiteral:
       return term;
+    case Term::Kind::kFieldRef: {
+      const auto& t = static_cast<const FieldRefTerm&>(*term);
+      if (!subst.fields.empty()) {
+        auto it = subst.fields.find({t.var(), t.field()});
+        if (it != subst.fields.end()) return it->second;
+      }
+      const std::string& var = Renamed(subst, t.var());
+      if (&var == &t.var()) return term;
+      return std::make_shared<FieldRefTerm>(var, t.field());
+    }
     case Term::Kind::kParamRef: {
       const auto& t = static_cast<const ParamRefTerm&>(*term);
       auto it = subst.scalars.find(t.name());
@@ -27,36 +61,31 @@ TermPtr SubstituteTerm(const TermPtr& term, const Substitution& subst) {
 }
 
 RangePtr SubstituteRange(const RangePtr& range, const Substitution& subst) {
-  auto substitute_apps = [&](const std::vector<RangeApp>& apps) {
-    std::vector<RangeApp> out;
-    out.reserve(apps.size());
-    for (const RangeApp& app : apps) {
-      RangeApp copy;
-      copy.kind = app.kind;
-      copy.name = app.name;
-      for (const TermPtr& t : app.term_args) {
-        copy.term_args.push_back(SubstituteTerm(t, subst));
-      }
-      for (const RangePtr& r : app.range_args) {
-        copy.range_args.push_back(SubstituteRange(r, subst));
-      }
-      out.push_back(std::move(copy));
-    }
-    return out;
-  };
+  std::vector<RangeApp> apps;
+  apps.reserve(range->apps().size());
+  bool changed = false;
+  for (const RangeApp& app : range->apps()) {
+    RangeApp copy{app.kind, app.name, {}, {}};
+    changed |= SubstituteEach(app.term_args, subst, &SubstituteTerm,
+                              &copy.term_args);
+    changed |= SubstituteEach(app.range_args, subst, &SubstituteRange,
+                              &copy.range_args);
+    apps.push_back(std::move(copy));
+  }
 
   auto it = subst.relations.find(range->relation());
   if (it == subst.relations.end()) {
-    return std::make_shared<Range>(range->relation(),
-                                   substitute_apps(range->apps()));
+    if (!changed) return range;
+    return std::make_shared<Range>(range->relation(), std::move(apps));
   }
   // Splice: the actual's own suffix chain comes first, then this
   // occurrence's (substituted) suffixes.
   const RangePtr& actual = it->second;
-  std::vector<RangeApp> apps = actual->apps();
-  std::vector<RangeApp> own = substitute_apps(range->apps());
-  apps.insert(apps.end(), own.begin(), own.end());
-  return std::make_shared<Range>(actual->relation(), std::move(apps));
+  if (apps.empty()) return actual;
+  std::vector<RangeApp> spliced = actual->apps();
+  spliced.insert(spliced.end(), std::make_move_iterator(apps.begin()),
+                 std::make_move_iterator(apps.end()));
+  return std::make_shared<Range>(actual->relation(), std::move(spliced));
 }
 
 PredPtr SubstitutePred(const PredPtr& pred, const Substitution& subst) {
@@ -65,137 +94,86 @@ PredPtr SubstitutePred(const PredPtr& pred, const Substitution& subst) {
       return pred;
     case Pred::Kind::kCompare: {
       const auto& p = static_cast<const ComparePred&>(*pred);
-      return std::make_shared<ComparePred>(p.op(), SubstituteTerm(p.lhs(), subst),
-                                           SubstituteTerm(p.rhs(), subst));
+      TermPtr lhs = SubstituteTerm(p.lhs(), subst);
+      TermPtr rhs = SubstituteTerm(p.rhs(), subst);
+      if (lhs == p.lhs() && rhs == p.rhs()) return pred;
+      return std::make_shared<ComparePred>(p.op(), std::move(lhs),
+                                           std::move(rhs));
     }
     case Pred::Kind::kAnd: {
       std::vector<PredPtr> ops;
-      for (const PredPtr& op : static_cast<const AndPred&>(*pred).operands()) {
-        ops.push_back(SubstitutePred(op, subst));
+      if (!SubstituteEach(static_cast<const AndPred&>(*pred).operands(), subst,
+                          &SubstitutePred, &ops)) {
+        return pred;
       }
       return std::make_shared<AndPred>(std::move(ops));
     }
     case Pred::Kind::kOr: {
       std::vector<PredPtr> ops;
-      for (const PredPtr& op : static_cast<const OrPred&>(*pred).operands()) {
-        ops.push_back(SubstitutePred(op, subst));
+      if (!SubstituteEach(static_cast<const OrPred&>(*pred).operands(), subst,
+                          &SubstitutePred, &ops)) {
+        return pred;
       }
       return std::make_shared<OrPred>(std::move(ops));
     }
     case Pred::Kind::kNot: {
       const auto& p = static_cast<const NotPred&>(*pred);
-      return std::make_shared<NotPred>(SubstitutePred(p.operand(), subst));
+      PredPtr operand = SubstitutePred(p.operand(), subst);
+      if (operand == p.operand()) return pred;
+      return std::make_shared<NotPred>(std::move(operand));
     }
     case Pred::Kind::kQuant: {
       const auto& p = static_cast<const QuantPred&>(*pred);
-      return std::make_shared<QuantPred>(p.quantifier(), p.var(),
-                                         SubstituteRange(p.range(), subst),
-                                         SubstitutePred(p.body(), subst));
+      const std::string& var = Renamed(subst, p.var());
+      RangePtr range = SubstituteRange(p.range(), subst);
+      PredPtr body = SubstitutePred(p.body(), subst);
+      if (&var == &p.var() && range == p.range() && body == p.body()) {
+        return pred;
+      }
+      return std::make_shared<QuantPred>(p.quantifier(), var, std::move(range),
+                                         std::move(body), p.loc());
     }
     case Pred::Kind::kIn: {
       const auto& p = static_cast<const InPred&>(*pred);
       std::vector<TermPtr> tuple;
-      for (const TermPtr& t : p.tuple()) {
-        tuple.push_back(SubstituteTerm(t, subst));
-      }
-      return std::make_shared<InPred>(std::move(tuple),
-                                      SubstituteRange(p.range(), subst));
+      bool changed = SubstituteEach(p.tuple(), subst, &SubstituteTerm, &tuple);
+      RangePtr range = SubstituteRange(p.range(), subst);
+      if (!changed && range == p.range()) return pred;
+      return std::make_shared<InPred>(std::move(tuple), std::move(range));
     }
   }
   DATACON_UNREACHABLE("pred kind");
 }
 
 BranchPtr SubstituteBranch(const BranchPtr& branch, const Substitution& subst) {
+  bool changed = false;
   std::vector<Binding> bindings;
   bindings.reserve(branch->bindings().size());
   for (const Binding& b : branch->bindings()) {
-    bindings.push_back(Binding{b.var, SubstituteRange(b.range, subst), b.loc});
+    const std::string& var = Renamed(subst, b.var);
+    RangePtr range = SubstituteRange(b.range, subst);
+    changed |= &var != &b.var || range != b.range;
+    bindings.push_back(Binding{var, std::move(range), b.loc});
   }
+  PredPtr pred = SubstitutePred(branch->pred(), subst);
+  changed |= pred != branch->pred();
   std::optional<std::vector<TermPtr>> targets;
   if (branch->targets().has_value()) {
     targets.emplace();
-    for (const TermPtr& t : *branch->targets()) {
-      targets->push_back(SubstituteTerm(t, subst));
-    }
+    changed |= SubstituteEach(*branch->targets(), subst, &SubstituteTerm,
+                              &*targets);
   }
-  return std::make_shared<Branch>(std::move(bindings),
-                                  SubstitutePred(branch->pred(), subst),
+  if (!changed) return branch;
+  return std::make_shared<Branch>(std::move(bindings), std::move(pred),
                                   std::move(targets), branch->loc());
 }
 
 CalcExprPtr SubstituteExpr(const CalcExprPtr& expr, const Substitution& subst) {
   std::vector<BranchPtr> branches;
-  branches.reserve(expr->branches().size());
-  for (const BranchPtr& b : expr->branches()) {
-    branches.push_back(SubstituteBranch(b, subst));
+  if (!SubstituteEach(expr->branches(), subst, &SubstituteBranch, &branches)) {
+    return expr;
   }
   return std::make_shared<CalcExpr>(std::move(branches));
-}
-
-TermPtr SubstituteFields(const TermPtr& term, const FieldSubstitution& subst) {
-  switch (term->kind()) {
-    case Term::Kind::kLiteral:
-    case Term::Kind::kParamRef:
-      return term;
-    case Term::Kind::kFieldRef: {
-      const auto& t = static_cast<const FieldRefTerm&>(*term);
-      auto it = subst.find({t.var(), t.field()});
-      return it == subst.end() ? term : it->second;
-    }
-    case Term::Kind::kArith: {
-      const auto& t = static_cast<const ArithTerm&>(*term);
-      return std::make_shared<ArithTerm>(t.op(), SubstituteFields(t.lhs(), subst),
-                                         SubstituteFields(t.rhs(), subst));
-    }
-  }
-  DATACON_UNREACHABLE("term kind");
-}
-
-PredPtr SubstituteFields(const PredPtr& pred, const FieldSubstitution& subst) {
-  switch (pred->kind()) {
-    case Pred::Kind::kBool:
-      return pred;
-    case Pred::Kind::kCompare: {
-      const auto& p = static_cast<const ComparePred&>(*pred);
-      return std::make_shared<ComparePred>(p.op(),
-                                           SubstituteFields(p.lhs(), subst),
-                                           SubstituteFields(p.rhs(), subst));
-    }
-    case Pred::Kind::kAnd: {
-      std::vector<PredPtr> ops;
-      for (const PredPtr& op : static_cast<const AndPred&>(*pred).operands()) {
-        ops.push_back(SubstituteFields(op, subst));
-      }
-      return std::make_shared<AndPred>(std::move(ops));
-    }
-    case Pred::Kind::kOr: {
-      std::vector<PredPtr> ops;
-      for (const PredPtr& op : static_cast<const OrPred&>(*pred).operands()) {
-        ops.push_back(SubstituteFields(op, subst));
-      }
-      return std::make_shared<OrPred>(std::move(ops));
-    }
-    case Pred::Kind::kNot: {
-      const auto& p = static_cast<const NotPred&>(*pred);
-      return std::make_shared<NotPred>(SubstituteFields(p.operand(), subst));
-    }
-    case Pred::Kind::kQuant: {
-      const auto& p = static_cast<const QuantPred&>(*pred);
-      // Semantic analysis forbids shadowing, so the quantified variable can
-      // never collide with a substituted one.
-      return std::make_shared<QuantPred>(p.quantifier(), p.var(), p.range(),
-                                         SubstituteFields(p.body(), subst));
-    }
-    case Pred::Kind::kIn: {
-      const auto& p = static_cast<const InPred&>(*pred);
-      std::vector<TermPtr> tuple;
-      for (const TermPtr& t : p.tuple()) {
-        tuple.push_back(SubstituteFields(t, subst));
-      }
-      return std::make_shared<InPred>(std::move(tuple), p.range());
-    }
-  }
-  DATACON_UNREACHABLE("pred kind");
 }
 
 }  // namespace datacon

@@ -13,9 +13,16 @@
 
 namespace datacon {
 
-/// Replaces formal names by actuals when a selector/constructor definition
-/// is instantiated for a concrete application (section 3.2: "replacing all
-/// formal parameters by their actual values").
+/// The one AST substitution. Instantiating a selector/constructor definition
+/// replaces formal names by actuals (section 3.2: "replacing all formal
+/// parameters by their actual values"); the section 4 propagation rules and
+/// constraint residues rewrite field references into other terms.
+///
+/// A single traversal applies every map everywhere: binding, quantifier and
+/// membership ranges (selector arguments included), constructor arguments
+/// nested inside them, predicates and target lists. Replacement terms and
+/// ranges are inserted as given, never substituted again. Source locations
+/// survive, and a subtree nothing applies to comes back as the same pointer.
 struct Substitution {
   /// Formal relation name -> actual range. The actual's suffix chain is
   /// spliced in front of any suffixes the occurrence carries.
@@ -23,6 +30,15 @@ struct Substitution {
   /// Scalar parameter name -> actual term (a literal constant, or a
   /// placeholder parameter of an enclosing prepared query form).
   std::map<std::string, TermPtr> scalars;
+  /// (tuple variable, field) -> replacement term: a predicate over a
+  /// constructed variable rewritten onto a branch's target terms, or a
+  /// residue's delta variable replaced by parameters. Semantic analysis
+  /// forbids shadowing, so quantifiers never hide a mapped variable.
+  std::map<std::pair<std::string, std::string>, TermPtr> fields;
+  /// Tuple variable renames, applied to binding variables, quantifier
+  /// variables and field references alike. A field reference `fields`
+  /// replaces is not renamed.
+  std::map<std::string, std::string> vars;
 };
 
 TermPtr SubstituteTerm(const TermPtr& term, const Substitution& subst);
@@ -30,15 +46,6 @@ RangePtr SubstituteRange(const RangePtr& range, const Substitution& subst);
 PredPtr SubstitutePred(const PredPtr& pred, const Substitution& subst);
 BranchPtr SubstituteBranch(const BranchPtr& branch, const Substitution& subst);
 CalcExprPtr SubstituteExpr(const CalcExprPtr& expr, const Substitution& subst);
-
-/// (variable, field) -> replacement term. Used by the section 4 propagation
-/// rules: a query predicate over a constructed range is rewritten onto a
-/// branch by substituting the branch's target term for each reference to
-/// the corresponding result field.
-using FieldSubstitution = std::map<std::pair<std::string, std::string>, TermPtr>;
-
-TermPtr SubstituteFields(const TermPtr& term, const FieldSubstitution& subst);
-PredPtr SubstituteFields(const PredPtr& pred, const FieldSubstitution& subst);
 
 }  // namespace datacon
 

@@ -5,69 +5,122 @@
 
 namespace datacon {
 
-void CollectFreeVars(const Term& term, std::set<std::string>* out) {
-  switch (term.kind()) {
-    case Term::Kind::kFieldRef:
-      out->insert(static_cast<const FieldRefTerm&>(term).var());
-      return;
-    case Term::Kind::kLiteral:
-    case Term::Kind::kParamRef:
-      return;
-    case Term::Kind::kArith: {
-      const auto& t = static_cast<const ArithTerm&>(term);
-      CollectFreeVars(*t.lhs(), out);
-      CollectFreeVars(*t.rhs(), out);
-      return;
-    }
+namespace {
+
+/// What one collector gathers: `leaf` sees every non-arithmetic term. With
+/// `scoped`, a quantifier's variable is bound in its body, so the body's
+/// contribution leaves it out (tuple variables; parameters live in another
+/// namespace, which a quantifier variable of the same name does not hide).
+struct Collector {
+  void (*leaf)(const Term& term, std::set<std::string>* out);
+  bool scoped;
+};
+
+void AddVar(const Term& term, std::set<std::string>* out) {
+  if (term.kind() == Term::Kind::kFieldRef) {
+    out->insert(static_cast<const FieldRefTerm&>(term).var());
   }
-  DATACON_UNREACHABLE("term kind");
 }
 
-void CollectFreeVars(const Pred& pred, std::set<std::string>* out) {
+void AddParam(const Term& term, std::set<std::string>* out) {
+  if (term.kind() == Term::Kind::kParamRef) {
+    out->insert(static_cast<const ParamRefTerm&>(term).name());
+  }
+}
+
+constexpr Collector kFreeVars{&AddVar, true};
+constexpr Collector kParamRefs{&AddParam, false};
+
+void Collect(const Collector& c, const Term& term, std::set<std::string>* out) {
+  if (term.kind() != Term::Kind::kArith) {
+    c.leaf(term, out);
+    return;
+  }
+  const auto& t = static_cast<const ArithTerm&>(term);
+  Collect(c, *t.lhs(), out);
+  Collect(c, *t.rhs(), out);
+}
+
+void Collect(const Collector& c, const Range& range,
+             std::set<std::string>* out) {
+  for (const RangeApp& app : range.apps()) {
+    for (const TermPtr& t : app.term_args) Collect(c, *t, out);
+    for (const RangePtr& r : app.range_args) Collect(c, *r, out);
+  }
+}
+
+void Collect(const Collector& c, const Pred& pred, std::set<std::string>* out) {
   switch (pred.kind()) {
     case Pred::Kind::kBool:
       return;
     case Pred::Kind::kCompare: {
       const auto& p = static_cast<const ComparePred&>(pred);
-      CollectFreeVars(*p.lhs(), out);
-      CollectFreeVars(*p.rhs(), out);
+      Collect(c, *p.lhs(), out);
+      Collect(c, *p.rhs(), out);
       return;
     }
     case Pred::Kind::kAnd:
       for (const PredPtr& op : static_cast<const AndPred&>(pred).operands()) {
-        CollectFreeVars(*op, out);
+        Collect(c, *op, out);
       }
       return;
     case Pred::Kind::kOr:
       for (const PredPtr& op : static_cast<const OrPred&>(pred).operands()) {
-        CollectFreeVars(*op, out);
+        Collect(c, *op, out);
       }
       return;
     case Pred::Kind::kNot:
-      CollectFreeVars(*static_cast<const NotPred&>(pred).operand(), out);
+      Collect(c, *static_cast<const NotPred&>(pred).operand(), out);
       return;
     case Pred::Kind::kQuant: {
       const auto& p = static_cast<const QuantPred&>(pred);
+      // The range is outside the quantifier's scope: its selector arguments
+      // may reference outer variables.
+      Collect(c, *p.range(), out);
+      if (!c.scoped) {
+        Collect(c, *p.body(), out);
+        return;
+      }
       std::set<std::string> inner;
-      CollectFreeVars(*p.body(), &inner);
+      Collect(c, *p.body(), &inner);
       inner.erase(p.var());
       out->insert(inner.begin(), inner.end());
-      // Selector arguments inside the range may reference outer variables.
-      for (const RangeApp& app : p.range()->apps()) {
-        for (const TermPtr& t : app.term_args) CollectFreeVars(*t, out);
-      }
       return;
     }
     case Pred::Kind::kIn: {
       const auto& p = static_cast<const InPred&>(pred);
-      for (const TermPtr& t : p.tuple()) CollectFreeVars(*t, out);
-      for (const RangeApp& app : p.range()->apps()) {
-        for (const TermPtr& t : app.term_args) CollectFreeVars(*t, out);
-      }
+      for (const TermPtr& t : p.tuple()) Collect(c, *t, out);
+      Collect(c, *p.range(), out);
       return;
     }
   }
   DATACON_UNREACHABLE("pred kind");
+}
+
+}  // namespace
+
+void CollectFreeVars(const Term& term, std::set<std::string>* out) {
+  Collect(kFreeVars, term, out);
+}
+
+void CollectFreeVars(const Range& range, std::set<std::string>* out) {
+  Collect(kFreeVars, range, out);
+}
+
+void CollectFreeVars(const Pred& pred, std::set<std::string>* out) {
+  Collect(kFreeVars, pred, out);
+}
+
+void CollectParamRefs(const Pred& pred, std::set<std::string>* out) {
+  Collect(kParamRefs, pred, out);
+}
+
+void CollectParamRefs(const Branch& branch, std::set<std::string>* out) {
+  for (const Binding& b : branch.bindings()) Collect(kParamRefs, *b.range, out);
+  Collect(kParamRefs, *branch.pred(), out);
+  if (branch.targets().has_value()) {
+    for (const TermPtr& t : *branch.targets()) Collect(kParamRefs, *t, out);
+  }
 }
 
 std::set<std::string> FreeVars(const Pred& pred) {

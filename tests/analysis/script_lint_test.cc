@@ -121,6 +121,32 @@ TEST(LintScript, CheckAndPragmaStatementsAreIgnored) {
   EXPECT_TRUE(report.empty()) << report.ToText();
 }
 
+TEST(LintScript, TypesReportEachDefectOnce) {
+  // With type inference on, the type checker's range-name and
+  // unbound-variable findings are the ones lint's own passes already make.
+  Result<Script> script = ParseScript(std::string(kPrelude) +
+                                      "QUERY {EACH r IN Nope: TRUE};\n"
+                                      "QUERY {<r.a> OF EACH r IN E: z.a = 1};\n"
+                                      "QUERY {EACH r IN E [nosel]: TRUE};\n"
+                                      "QUERY {EACH r IN E {noctor}: TRUE};\n");
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  LintOptions options;
+  options.types = true;
+  LintReport report = LintScript(script.value(), options);
+  for (int line = 3; line <= 6; ++line) {
+    size_t at_line = 0;
+    for (const Diagnostic& d : report.diagnostics) {
+      if (d.loc.line == line) ++at_line;
+    }
+    EXPECT_EQ(at_line, 1u) << "line " << line << ":\n" << report.ToText();
+  }
+  EXPECT_TRUE(HasDiag(report, kDiagUnknownName, 3, 8));
+  EXPECT_TRUE(HasDiag(report, kDiagUnsafeVariable, 4, 8));
+  EXPECT_TRUE(HasDiag(report, kDiagUnknownName, 5, 8));
+  EXPECT_TRUE(HasDiag(report, kDiagUnknownName, 6, 8));
+  EXPECT_EQ(report.diagnostics.size(), 4u) << report.ToText();
+}
+
 TEST(LintScript, ReportIsSortedBySpan) {
   LintReport report = LintSource(std::string(kPrelude) +
                                  "QUERY E {tc};\n"

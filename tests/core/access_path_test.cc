@@ -124,6 +124,39 @@ TEST(PhysicalAccessPath, RejectsParamOutsideBindingEquality) {
             StatusCode::kUnsupported);
 }
 
+TEST(PhysicalAccessPath, RejectsParamInTargetList) {
+  Database db;
+  ASSERT_TRUE(workload::SetupClosure(&db, "g", workload::Chain(4)).ok());
+  CalcExprPtr form = Union({MakeBranch(
+      {FieldRef("r", "dst"), Param("start")},
+      {Each("r", Constructed(Rel("g_E"), "g_tc"))},
+      Eq(FieldRef("r", "src"), Param("start")))});
+  Result<PhysicalAccessPath> path =
+      PhysicalAccessPath::Build(&db, form, "start");
+  EXPECT_EQ(path.status().code(), StatusCode::kUnsupported)
+      << path.status().ToString();
+}
+
+TEST(PhysicalAccessPath, RejectsParamInMembershipSelectorArgument) {
+  Database db;
+  ASSERT_TRUE(workload::SetupClosure(&db, "g", workload::Chain(4)).ok());
+  ASSERT_TRUE(db.DefineSelector(std::make_shared<SelectorDecl>(
+                                    "src_is", FormalRelation{"Rel", "g_edgerel"},
+                                    std::vector<FormalScalar>{
+                                        {"n", ValueType::kInt}},
+                                    "s", Eq(FieldRef("s", "src"), Param("n"))))
+                  .ok());
+  CalcExprPtr form = Union({IdentityBranch(
+      "r", Constructed(Rel("g_E"), "g_tc"),
+      And({Eq(FieldRef("r", "src"), Param("start")),
+           In({FieldRef("r", "src"), FieldRef("r", "dst")},
+              Selected(Rel("g_E"), "src_is", {Param("start")}))}))});
+  Result<PhysicalAccessPath> path =
+      PhysicalAccessPath::Build(&db, form, "start");
+  EXPECT_EQ(path.status().code(), StatusCode::kUnsupported)
+      << path.status().ToString();
+}
+
 TEST(PhysicalAccessPath, SnapshotSemantics) {
   Database db;
   ASSERT_TRUE(workload::SetupClosure(&db, "g", workload::Chain(4)).ok());

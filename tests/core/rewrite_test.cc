@@ -12,18 +12,6 @@ namespace {
 
 using namespace build;  // NOLINT: terse AST construction in tests
 
-TEST(RenameVars, RenamesEverywhere) {
-  BranchPtr b = MakeBranch(
-      {FieldRef("f", "src"), FieldRef("b", "dst")},
-      {Each("f", Rel("E")), Each("b", Selected(Rel("E"), "s",
-                                               {FieldRef("f", "src")}))},
-      Some("q", Rel("E"), Eq(FieldRef("q", "src"), FieldRef("f", "dst"))));
-  BranchPtr out = RenameVars(b, {{"f", "F1"}, {"q", "Q1"}});
-  EXPECT_EQ(ToString(*out),
-            "<F1.src, b.dst> OF EACH F1 IN E, EACH b IN E [s(F1.src)]: "
-            "SOME Q1 IN E (Q1.src = F1.dst)");
-}
-
 class RewriteTest : public ::testing::Test {
  protected:
   RewriteTest() {

@@ -367,7 +367,7 @@ constexpr Defect kDefects[] = {
     {"unknown tuple variable",
      "CONSTRUCTOR bad FOR Rel: pair (): pair; BEGIN EACH r IN Rel: s.a = 1 "
      "END bad;",
-     StatusCode::kNotFound, "E101"},
+     StatusCode::kNotFound, "E110"},
     {"unknown field",
      "CONSTRUCTOR bad FOR Rel: pair (): pair; BEGIN EACH r IN Rel: r.zz = 1 "
      "END bad;",

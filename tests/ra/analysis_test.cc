@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "ast/builder.h"
 #include "ast/printer.h"
 
@@ -57,6 +59,35 @@ TEST(FreeVars, NestedShadowing) {
       Some("n", Rel("A"), Some("m", Rel("B"),
                                Eq(FieldRef("n", "x"), FieldRef("m", "y"))));
   EXPECT_TRUE(FreeVars(*p).empty());
+}
+
+TEST(FreeVars, RangesAreDeepThroughConstructorArguments) {
+  std::set<std::string> out;
+  CollectFreeVars(*Constructed(Selected(Rel("R"), "near", {FieldRef("a", "x")}),
+                               "c", {Selected(Rel("S"), "near",
+                                              {FieldRef("b", "y")})}),
+                  &out);
+  EXPECT_EQ(out, (std::set<std::string>{"a", "b"}));
+}
+
+TEST(ParamRefs, QuantifierVariableDoesNotHideAParameter) {
+  // Parameters and tuple variables live in different namespaces.
+  std::set<std::string> out;
+  CollectParamRefs(*Some("k", Selected(Rel("R"), "s", {Param("p")}),
+                         Eq(FieldRef("k", "a"), Param("k"))),
+                   &out);
+  EXPECT_EQ(out, (std::set<std::string>{"k", "p"}));
+}
+
+TEST(ParamRefs, BranchCoversRangesPredicateAndTargets) {
+  std::set<std::string> out;
+  CollectParamRefs(
+      *MakeBranch({Add(FieldRef("r", "a"), Param("t"))},
+                  {Each("r", Constructed(Rel("R"), "c", {Selected(
+                                             Rel("S"), "s", {Param("b")})}))},
+                  In({Param("m")}, Selected(Rel("T"), "s", {Param("i")}))),
+      &out);
+  EXPECT_EQ(out, (std::set<std::string>{"b", "i", "m", "t"}));
 }
 
 TEST(FlattenConjuncts, SingleNonAnd) {
